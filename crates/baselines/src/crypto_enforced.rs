@@ -52,7 +52,9 @@ use sp_core::crypto::{
 use sp_core::{
     decode_tuple, encode_tuple, RoleCatalog, RoleId, RoleSet, Schema, Sign, StreamElement, Tuple,
 };
-use sp_engine::telemetry::{AuditEvent, CipherViolation, FlightRecorder, NO_SP, NO_TUPLE};
+use sp_engine::telemetry::{
+    AuditEvent, AuditRecord, CipherViolation, FlightRecorder, NO_SP, NO_TUPLE,
+};
 use sp_engine::{Element, SegmentPolicy, SpAnalyzer};
 
 use crate::mechanism::{EnforcementMechanism, MechStats, PolicyState};
@@ -607,7 +609,7 @@ impl CryptoClient {
     fn suppress(&mut self, tid: u64, ts: u64, reason: CipherViolation) {
         self.denied += 1;
         self.violations[reason.code() as usize] += 1;
-        self.recorder.record(tid, ts, AuditEvent::CipherSuppressed { reason });
+        self.recorder.record(AuditRecord::new(tid, ts, AuditEvent::CipherSuppressed { reason }));
     }
 
     /// Poisons the open segment (first violation wins) without counting
@@ -626,14 +628,22 @@ impl CryptoClient {
         let Some(mut o) = self.open.take() else { return };
         let reason = o.poisoned.unwrap_or(reason);
         self.violations[reason.code() as usize] += 1;
-        self.recorder.record(NO_TUPLE, o.sp_ts, AuditEvent::CipherSuppressed { reason });
+        self.recorder.record(AuditRecord::new(
+            NO_TUPLE,
+            o.sp_ts,
+            AuditEvent::CipherSuppressed { reason },
+        ));
         for entry in o.staged.drain(..) {
             let tid = match &entry {
                 Staged::Clear(t) => t.tid.raw(),
                 Staged::Sealed(..) => NO_TUPLE,
             };
             self.denied += 1;
-            self.recorder.record(tid, o.sp_ts, AuditEvent::TentativeRolledBack { seg: o.seg });
+            self.recorder.record(AuditRecord::new(
+                tid,
+                o.sp_ts,
+                AuditEvent::TentativeRolledBack { seg: o.seg },
+            ));
         }
     }
 
@@ -762,7 +772,11 @@ impl CryptoClient {
             // Authorized denial: no capsule for any held role. The
             // suppression mirrors a shield deny, citing the governing sp.
             self.denied += 1;
-            self.recorder.record(NO_TUPLE, sp_ts, AuditEvent::Suppressed { sp_ts });
+            self.recorder.record(AuditRecord::new(
+                NO_TUPLE,
+                sp_ts,
+                AuditEvent::Suppressed { sp_ts },
+            ));
             return;
         }
         if idx != o.next_idx {
@@ -913,11 +927,11 @@ impl CryptoClient {
         }
         for t in releases {
             self.released += 1;
-            self.recorder.record(
+            self.recorder.record(AuditRecord::new(
                 t.tid.raw(),
                 t.ts.0,
                 AuditEvent::Released { role: o.release_role, sp_ts: o.sp_ts },
-            );
+            ));
             out.push(t);
         }
     }

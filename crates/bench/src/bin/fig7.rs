@@ -492,13 +492,13 @@ fn telemetry_report() {
     ]);
 }
 
-/// Sp-trace overhead + enforcement lag: the same shielded workload with
-/// span recording flipped off vs on through the runtime toggle (the span
-/// ring stays armed in both runs, so the comparison isolates the
-/// per-record cost), then one kept run whose span sheet and
-/// enforcement-lag histograms are exported and linted.
+/// Sp-trace overhead + enforcement lag: the same shielded workload built
+/// with span rings off (`span_capacity: 0`) vs on
+/// (`DEFAULT_SPAN_CAPACITY`), audit and metrics on in both so the
+/// comparison isolates the span plane, then one kept run whose span
+/// sheet and enforcement-lag histograms are exported and linted.
 fn trace_report() {
-    use sp_engine::telemetry::span;
+    use sp_engine::telemetry::DEFAULT_SPAN_CAPACITY;
 
     let catalog = catalog(128);
     let workload = fig7_workload(10, 3, 0.5, 42);
@@ -506,32 +506,30 @@ fn trace_report() {
         workload.elements.iter().map(|e| (workload.stream, e.clone())).collect();
     let stream = workload.stream;
     let schema = &workload.schema;
-    let builder = || {
+    let builder = |span_capacity: usize| {
         let mut b = PlanBuilder::new(catalog.clone());
         let src = b.source(stream, schema.clone());
         b.harden_source(src, QuarantinePolicy { ttl_ms: 40, slack_ms: 100, capacity: 1_024 });
         let ss = b.add(SecurityShield::new(RoleSet::from([0])), src);
         let _sink = b.sink(ss);
-        b.enable_telemetry(TelemetryConfig::enabled());
+        b.enable_telemetry(TelemetryConfig { span_capacity, ..TelemetryConfig::enabled() });
         b
     };
-    let drive = || {
-        let mut exec = builder().build();
+    let drive = |span_capacity: usize| {
+        let mut exec = builder(span_capacity).build();
         for (s, e) in &input {
             let _ = exec.push(*s, e.clone());
         }
         let _ = exec.finish();
     };
 
-    span::set_enabled(false);
-    let off = time_best_of_3(drive);
-    span::set_enabled(true);
-    let on = time_best_of_3(drive);
+    let off = time_best_of_3(|| drive(0));
+    let on = time_best_of_3(|| drive(DEFAULT_SPAN_CAPACITY));
     let overhead = (on.as_secs_f64() - off.as_secs_f64()) / off.as_secs_f64().max(1e-9) * 100.0;
 
     // One more traced run kept alive so the span sheet and the lag
     // histograms can be exported after the timing loop.
-    let mut exec = builder().build();
+    let mut exec = builder(DEFAULT_SPAN_CAPACITY).build();
     for (s, e) in &input {
         let _ = exec.push(*s, e.clone());
     }

@@ -5,8 +5,8 @@
 //! never a wall clock or a random source. Two processes that observe the
 //! same element therefore derive the *same* trace and span ids without
 //! coordination, which is what makes span trees recorded by the client,
-//! the server ingress loop, the sequential executor, the parallel
-//! runner, and a promoted standby mergeable after the fact: merging is
+//! the server ingress loop, the sequential executor, a shard replica,
+//! and a promoted standby mergeable after the fact: merging is
 //! set union, and replay after a crash regenerates byte-identical spans.
 //!
 //! Ids are produced by the SplitMix64 finalizer ([`mix64`]) over salted

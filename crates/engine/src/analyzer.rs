@@ -21,7 +21,7 @@ use sp_core::{
 use crate::element::{Element, PolicyEntry, SegmentPolicy};
 use crate::stats::DegradationStats;
 use crate::telemetry::{
-    AuditEvent, FlightRecorder, QuarantineReason, SpanRecord, SpanRecorder, NO_TUPLE,
+    AuditEvent, AuditRecord, FlightRecorder, QuarantineReason, SpanRecord, SpanRecorder, NO_TUPLE,
 };
 
 /// Hardened-mode parameters: how fresh a policy must be to govern a
@@ -115,8 +115,8 @@ impl SpAnalyzer {
             quarantined: 0,
             quarantine_released: 0,
             quarantine_dropped: 0,
-            recorder: FlightRecorder::disabled(),
-            spans: SpanRecorder::disabled(),
+            recorder: FlightRecorder::default(),
+            spans: SpanRecorder::default(),
         }
     }
 
@@ -141,7 +141,7 @@ impl SpAnalyzer {
     /// The span recorder, when enabled.
     #[must_use]
     pub fn spans(&self) -> Option<&SpanRecorder> {
-        (self.spans.capacity() > 0).then_some(&self.spans)
+        self.spans.enabled().then_some(&self.spans)
     }
 
     /// Switches this analyzer into hardened fail-closed mode: a tuple not
@@ -218,21 +218,21 @@ impl SpAnalyzer {
                 match self.hardening {
                     Some(qp) if !self.governs(tuple.ts, qp.ttl_ms) => {
                         self.quarantined += 1;
-                        self.recorder.record(
+                        self.recorder.record(AuditRecord::new(
                             tuple.tid.raw(),
                             tuple.ts.0,
                             AuditEvent::Quarantined { reason: QuarantineReason::Uncovered },
-                        );
+                        ));
                         if self.quarantine.len() >= qp.capacity {
                             if let Some(evicted) = self.quarantine.pop_front() {
                                 self.quarantine_dropped += 1;
-                                self.recorder.record(
+                                self.recorder.record(AuditRecord::new(
                                     evicted.tid.raw(),
                                     evicted.ts.0,
                                     AuditEvent::QuarantineDropped {
                                         reason: QuarantineReason::CapacityEvicted,
                                     },
-                                );
+                                ));
                             }
                         }
                         self.quarantine.push_back(tuple);
@@ -265,13 +265,13 @@ impl SpAnalyzer {
                 // off.
                 for t in &self.quarantine {
                     if t.ts.0.saturating_add(qp.slack_ms) < clock {
-                        self.recorder.record(
+                        self.recorder.record(AuditRecord::new(
                             t.tid.raw(),
                             t.ts.0,
                             AuditEvent::QuarantineDropped {
                                 reason: QuarantineReason::SlackExpired,
                             },
-                        );
+                        ));
                     }
                 }
             }
@@ -293,7 +293,7 @@ impl SpAnalyzer {
             // authorizations back — a delayed or replayed grant could widen
             // access retroactively. Fail closed: discard the whole batch.
             self.stale_sp_batches += 1;
-            self.recorder.record(NO_TUPLE, ts.0, AuditEvent::StaleSpDiscarded);
+            self.recorder.record(AuditRecord::new(NO_TUPLE, ts.0, AuditEvent::StaleSpDiscarded));
             return;
         }
         // Group the batch by tuple scope: sps with identical tuple patterns
@@ -377,15 +377,19 @@ impl SpAnalyzer {
             for t in std::mem::take(&mut self.quarantine) {
                 if ts <= t.ts && t.ts.0 - ts.0 <= qp.ttl_ms {
                     self.quarantine_released += 1;
-                    self.recorder.record(t.tid.raw(), t.ts.0, AuditEvent::QuarantineReleased);
+                    self.recorder.record(AuditRecord::new(
+                        t.tid.raw(),
+                        t.ts.0,
+                        AuditEvent::QuarantineReleased,
+                    ));
                     out.push(Element::Tuple(t));
                 } else if t.ts < ts {
                     self.quarantine_dropped += 1;
-                    self.recorder.record(
+                    self.recorder.record(AuditRecord::new(
                         t.tid.raw(),
                         t.ts.0,
                         AuditEvent::QuarantineDropped { reason: QuarantineReason::PassedOver },
-                    );
+                    ));
                 } else {
                     self.quarantine.push_back(t);
                 }

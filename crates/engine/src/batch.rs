@@ -10,11 +10,10 @@
 //! Batches are **kind-homogeneous** by construction: a batch holds only
 //! tuples or only segment policies, never both. The cutters
 //! ([`ElementBatch::accepts`]-guarded coalescing in the executor and the
-//! parallel feeder) start a new batch at every policy boundary, so one
-//! batch never spans two segments' punctuations. Homogeneity is what lets
-//! the parallel runner class a whole batch as control (policies) or data
-//! (tuples) on its bounded channels, and what lets the Security Shield
-//! release or suppress an entire run under one cached verdict.
+//! sharded coordinator's run splitting) start a new batch at every policy
+//! boundary, so one batch never spans two segments' punctuations.
+//! Homogeneity is what lets the Security Shield release or suppress an
+//! entire run under one cached verdict.
 //!
 //! The representation is a two-variant inline/heap enum rather than an
 //! external small-vector type (the workspace vendors no `smallvec`): the
@@ -145,10 +144,9 @@ impl ElementBatch {
         self.as_slice().first().is_some_and(Element::is_tuple)
     }
 
-    /// True when the batch carries control traffic (segment policies).
-    /// Classed channels admit control batches unconditionally; a mixed
-    /// batch (never produced by the routers) classes as control if any
-    /// element is a policy, so sps can never be stalled by a data bound.
+    /// True when the batch carries control traffic (segment policies). A
+    /// mixed batch (never produced by the routers) classes as control if
+    /// any element is a policy, so operators take the per-element path.
     #[must_use]
     pub fn is_control(&self) -> bool {
         self.iter().any(|e| !e.is_tuple())
@@ -208,32 +206,6 @@ impl Iterator for IntoIter {
 
 impl ExactSizeIterator for IntoIter {}
 
-/// Cuts a drained element sequence into kind-homogeneous run batches,
-/// invoking `sink` for each completed batch in order. This is the batch
-/// cutter used by the parallel workers: a run breaks wherever the element
-/// kind flips (tuple↔policy), which is exactly an sp-batch boundary.
-pub fn coalesce_runs<E>(
-    elems: impl Iterator<Item = Element>,
-    mut sink: impl FnMut(ElementBatch) -> Result<(), E>,
-) -> Result<(), E> {
-    let mut open: Option<ElementBatch> = None;
-    for elem in elems {
-        match &mut open {
-            Some(batch) if batch.accepts(&elem) => batch.push(elem),
-            Some(_) => {
-                if let Some(done) = open.replace(ElementBatch::single(elem)) {
-                    sink(done)?;
-                }
-            }
-            None => open = Some(ElementBatch::single(elem)),
-        }
-    }
-    if let Some(done) = open {
-        sink(done)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -279,26 +251,6 @@ mod tests {
         assert!(!p.accepts(&tup(1)));
         assert!(p.is_control());
         assert!(!p.is_tuples());
-    }
-
-    #[test]
-    fn coalesce_cuts_at_kind_boundaries() {
-        let elems = vec![pol(0), tup(1), tup(2), tup(3), pol(4), tup(5)];
-        let mut batches = Vec::new();
-        coalesce_runs::<()>(elems.into_iter(), |b| {
-            batches.push(b);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(batches.len(), 4);
-        assert_eq!(batches.iter().map(ElementBatch::len).collect::<Vec<_>>(), vec![1, 3, 1, 1]);
-        assert!(batches[0].is_control());
-        assert!(batches[1].is_tuples());
-        // Order survives the cut.
-        let flat: Vec<Element> = batches.into_iter().flat_map(IntoIterator::into_iter).collect();
-        assert_eq!(flat.len(), 6);
-        assert!(!flat[0].is_tuple());
-        assert!(flat[1].is_tuple());
     }
 
     #[test]

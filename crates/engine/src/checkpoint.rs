@@ -22,7 +22,7 @@
 //! strings, canonical ordering for map-shaped state. Two runs in the same
 //! logical state always serialize identically, which is what lets the
 //! chaos tests assert *zero policy-state divergence* across crashes and
-//! across the sequential/parallel runtimes.
+//! across the sequential/sharded runtimes.
 
 use std::sync::Arc;
 

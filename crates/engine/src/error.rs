@@ -28,7 +28,7 @@ pub enum EngineError {
         reason: String,
     },
     /// A worker thread's operator panicked; the panic was contained and
-    /// converted (parallel runtime).
+    /// converted (sharded runtime).
     OperatorPanic {
         /// Operator (or stage) name.
         operator: String,

@@ -10,7 +10,7 @@
 //! * [`analyzer`] — the SP Analyzer: sp-batch resolution, server-policy
 //!   combination, similar-policy merging;
 //! * [`batch`] — segment-run batches ([`batch::ElementBatch`]): the
-//!   executor and parallel runner move kind-homogeneous runs of elements
+//!   executors move kind-homogeneous runs of elements
 //!   cut at sp-batch / punctuation / epoch boundaries, amortizing
 //!   dispatch, queueing, and telemetry over whole runs;
 //! * [`expr`] — scalar expressions for predicates and join conditions;
@@ -20,9 +20,6 @@
 //!   SAJoin (⋈, nested-loop PF/FP and SPIndex variants), duplicate
 //!   elimination (δ), group-by with attribute subgroups;
 //! * [`plan`] — plan DAGs with shared subplans and the push-based executor;
-//! * [`parallel`] — a pipeline-parallel runner (one thread per operator,
-//!   bounded channels, panic containment) that reproduces the sequential
-//!   executor's results exactly;
 //! * [`shard`] — key-partitioned scale-*out*: N shard replicas behind a
 //!   deterministic exchange merge, with broadcast sps, shard-spanning
 //!   canonical checkpoints, and byte-identical observables at any shard
@@ -37,8 +34,8 @@
 //!   the reorder buffer and the load shedder, so "late" means one thing;
 //! * [`overload`] — security-aware overload management: the degradation
 //!   ladder, semantic load shedding (sps are lossless control traffic,
-//!   only data tuples shed), classed control/data bounded queues, and
-//!   token-bucket admission control at the ingestion boundary;
+//!   only data tuples shed), and token-bucket admission control at the
+//!   ingestion boundary;
 //! * [`checkpoint`] — epoch checkpoints: canonical per-operator snapshots,
 //!   CRC-framed [`Checkpoint`] records, and append-only durable stores
 //!   that fall back past torn or corrupted frames;
@@ -48,9 +45,9 @@
 //!   leak it;
 //! * [`predicate_index`] — the CACQ-style grouped filter over SS states
 //!   that §V-A suggests for many-query shields;
-//! * [`telemetry`] — the security-decision audit trail (deterministic
-//!   per-operator flight recorders), mergeable log₂ histograms with
-//!   Prometheus/JSON export, and a feature-gated span facade.
+//! * [`telemetry`] — the security-decision audit trail and the sp-trace
+//!   span plane (deterministic per-operator record rings), and mergeable
+//!   log₂ histograms with Prometheus/JSON export.
 
 #![warn(missing_docs)]
 
@@ -64,7 +61,6 @@ pub mod fault;
 pub mod operator;
 pub mod ops;
 pub mod overload;
-pub mod parallel;
 pub mod plan;
 pub mod predicate_index;
 pub mod reorder;
@@ -92,11 +88,9 @@ pub use ops::{
     SecurityShield, Select, Sink, Union,
 };
 pub use overload::{
-    classed_channel, AdmissionConfig, AdmissionController, ClassedReceiver, ClassedSender,
-    DataRejected, DegradationLadder, LadderTransition, OverloadLevel, ShedPolicy, Shedder,
-    ShedderConfig, WatermarkConfig,
+    AdmissionConfig, AdmissionController, DegradationLadder, LadderTransition, OverloadLevel,
+    ShedPolicy, Shedder, ShedderConfig, WatermarkConfig,
 };
-pub use parallel::{run_parallel, run_parallel_checkpointed, ParallelResults};
 pub use plan::{Executor, NodeRef, PlanBuilder, SinkRef, SourceRef, Upstream};
 pub use predicate_index::{PredicateIndex, QuerySet};
 pub use reorder::ReorderBuffer;
@@ -109,7 +103,7 @@ pub use supervisor::{
 };
 pub use telemetry::{
     AuditEvent, AuditOp, AuditRecord, AuditTrail, CipherViolation, FlightRecorder, Histogram,
-    LagTracker, MetricsRegistry, QuarantineReason, SpanRecord, SpanRecorder, SpanSheet,
-    TelemetryConfig,
+    LagTracker, MetricsRegistry, QuarantineReason, Record, Ring, Sheet, SpanRecord, SpanRecorder,
+    SpanSheet, TelemetryConfig,
 };
 pub use window::WindowSpec;

@@ -25,7 +25,7 @@ use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::stats::{CostKind, OperatorStats};
 use crate::telemetry::{
-    AuditEvent, FlightRecorder, LagTracker, SpanRecord, SpanRecorder, NO_SP, NO_TUPLE,
+    AuditEvent, AuditRecord, FlightRecorder, LagTracker, SpanRecord, SpanRecorder, NO_SP, NO_TUPLE,
 };
 
 /// Enforcement granularity.
@@ -121,8 +121,8 @@ impl SecurityShield {
             mask_cache: None,
             tuple_cache: None,
             seg_role: u32::MAX,
-            recorder: FlightRecorder::disabled(),
-            spans: SpanRecorder::disabled(),
+            recorder: FlightRecorder::default(),
+            spans: SpanRecorder::default(),
             lag: LagTracker::new(),
             stats: OperatorStats::new(),
         }
@@ -399,11 +399,11 @@ impl SecurityShield {
                 self.stats.tuples_out += 1;
                 let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
                 if self.recorder.enabled() {
-                    self.recorder.record(
+                    self.recorder.record(AuditRecord::new(
                         tid_raw,
                         ts_raw,
                         AuditEvent::Released { role: audit_role, sp_ts },
-                    );
+                    ));
                 }
                 self.lag.observe_release(ts_raw);
                 if self.spans.enabled() {
@@ -424,7 +424,11 @@ impl SecurityShield {
                 self.stats.tuples_shielded += 1;
                 let sp_ts = self.current.as_ref().map_or(NO_SP, |seg| seg.ts.0);
                 if self.recorder.enabled() {
-                    self.recorder.record(tid_raw, ts_raw, AuditEvent::Suppressed { sp_ts });
+                    self.recorder.record(AuditRecord::new(
+                        tid_raw,
+                        ts_raw,
+                        AuditEvent::Suppressed { sp_ts },
+                    ));
                 }
                 self.lag.observe_suppress(ts_raw);
                 if self.spans.enabled() {
@@ -516,7 +520,11 @@ impl Operator for SecurityShield {
                                 let (tid, ts) = (t.tid.raw(), t.ts.0);
                                 self.lag.observe_tuple(ts);
                                 if audit {
-                                    self.recorder.record(tid, ts, AuditEvent::Suppressed { sp_ts });
+                                    self.recorder.record(AuditRecord::new(
+                                        tid,
+                                        ts,
+                                        AuditEvent::Suppressed { sp_ts },
+                                    ));
                                 }
                                 self.lag.observe_suppress(ts);
                                 if self.spans.enabled() {
@@ -548,11 +556,11 @@ impl Operator for SecurityShield {
                                 let (tid, ts) = (t.tid.raw(), t.ts.0);
                                 self.lag.observe_tuple(ts);
                                 if audit {
-                                    self.recorder.record(
+                                    self.recorder.record(AuditRecord::new(
                                         tid,
                                         ts,
                                         AuditEvent::Released { role, sp_ts },
-                                    );
+                                    ));
                                 }
                                 self.lag.observe_release(ts);
                                 if self.spans.enabled() {
@@ -611,7 +619,7 @@ impl Operator for SecurityShield {
     }
 
     fn spans(&self) -> Option<&SpanRecorder> {
-        (self.spans.capacity() > 0).then_some(&self.spans)
+        self.spans.enabled().then_some(&self.spans)
     }
 
     fn lag(&self) -> Option<&LagTracker> {

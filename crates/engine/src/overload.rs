@@ -1,5 +1,5 @@
 //! Security-aware overload management: degradation ladder, semantic load
-//! shedding, classed (control/data) bounded queues, and admission control.
+//! shedding, and admission control.
 //!
 //! Under overload a streaming engine must drop *something*. The invariant
 //! this module enforces is that it never drops — or delays past slack, or
@@ -10,7 +10,7 @@
 //! table stays byte-identical because every sp still flows through in
 //! order.
 //!
-//! Four cooperating pieces:
+//! Three cooperating pieces:
 //!
 //! - [`DegradationLadder`]: a watermark controller with hysteresis that
 //!   maps queue occupancy to an [`OverloadLevel`] — `Normal` →
@@ -21,10 +21,6 @@
 //!   stream-time progress) and sheds data tuples per a pluggable
 //!   [`ShedPolicy`] when the ladder escalates. Policies pass through
 //!   untouched at every level, including `FailClosed`.
-//! - [`classed_channel`]: a two-class bounded queue for the parallel
-//!   runtime where control traffic (punctuations, epoch barriers) is
-//!   always enqueueable and only data admission is bounded, so a stuffed
-//!   pipe can never block an sp behind data backpressure.
 //! - [`AdmissionController`]: a per-session token bucket at the ingestion
 //!   boundary with burst allowance and deadline-based debt, surfacing
 //!   typed [`EngineError::Overloaded`] errors with a `retry_after` hint.
@@ -34,9 +30,8 @@
 //! `overload_props` test suite leans on.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use bytes::Buf;
 use sp_core::{StreamId, Timestamp, Tuple};
@@ -49,6 +44,7 @@ use crate::operator::{Emitter, Operator};
 use crate::predicate_index::PredicateIndex;
 use crate::slack::Slack;
 use crate::stats::{DegradationStats, OperatorStats};
+use crate::telemetry::{AuditEvent, AuditRecord, FlightRecorder, NO_TUPLE};
 
 /// How degraded the engine currently is. Levels are ordered: escalation
 /// moves right, recovery moves left, one rung at a time.
@@ -452,7 +448,7 @@ pub struct Shedder {
     /// punctuations under load. See [`Shedder::break_sp_shedding`].
     broken_sheds_sps: bool,
     /// Security flight recorder: shed decisions and ladder transitions.
-    recorder: crate::telemetry::FlightRecorder,
+    recorder: FlightRecorder,
     /// How many entries of `ladder.transitions()` are already audited,
     /// so each transition is recorded exactly once.
     audited_transitions: usize,
@@ -478,7 +474,7 @@ impl Shedder {
             shed_tuples: 0,
             shed_critical: 0,
             broken_sheds_sps: false,
-            recorder: crate::telemetry::FlightRecorder::disabled(),
+            recorder: FlightRecorder::default(),
             audited_transitions: 0,
             stats: OperatorStats::new(),
             cfg,
@@ -544,14 +540,11 @@ impl Shedder {
         if self.recorder.enabled() {
             // Audit every rung the observation crossed, exactly once.
             for t in &self.ladder.transitions()[self.audited_transitions..] {
-                self.recorder.record(
-                    crate::telemetry::NO_TUPLE,
+                self.recorder.record(AuditRecord::new(
+                    NO_TUPLE,
                     t.at.0,
-                    crate::telemetry::AuditEvent::LadderTransition {
-                        from: t.from.code(),
-                        to: t.to.code(),
-                    },
-                );
+                    AuditEvent::LadderTransition { from: t.from.code(), to: t.to.code() },
+                ));
             }
             self.audited_transitions = self.ladder.transitions().len();
         }
@@ -640,12 +633,12 @@ impl Operator for Shedder {
     }
 
     fn set_audit(&mut self, capacity: usize) -> bool {
-        self.recorder = crate::telemetry::FlightRecorder::new(capacity);
+        self.recorder = FlightRecorder::new(capacity);
         self.audited_transitions = self.ladder.transitions().len();
         true
     }
 
-    fn audit(&self) -> Option<&crate::telemetry::FlightRecorder> {
+    fn audit(&self) -> Option<&FlightRecorder> {
         self.recorder.enabled().then_some(&self.recorder)
     }
 
@@ -751,11 +744,11 @@ impl Shedder {
                     if level >= OverloadLevel::CriticalShedding {
                         self.shed_critical += 1;
                     }
-                    self.recorder.record(
+                    self.recorder.record(AuditRecord::new(
                         t.tid.raw(),
                         t.ts.0,
-                        crate::telemetry::AuditEvent::Shed { level: level.code() },
-                    );
+                        AuditEvent::Shed { level: level.code() },
+                    ));
                 } else {
                     self.admit(&t);
                     self.stats.tuples_out += 1;
@@ -766,206 +759,6 @@ impl Shedder {
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Classed (control/data) bounded channel
-// ---------------------------------------------------------------------------
-
-/// Why a data send was refused by a [`ClassedSender`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum DataRejected<T> {
-    /// The data class is at capacity; the element is handed back so the
-    /// caller can retry (backpressure) or shed it.
-    Full(T),
-    /// The receiver is gone; the element is handed back.
-    Disconnected(T),
-}
-
-struct ClassedState<T> {
-    q: VecDeque<T>,
-    data_len: usize,
-    senders: usize,
-    rx_alive: bool,
-}
-
-struct ClassedShared<T> {
-    state: Mutex<ClassedState<T>>,
-    not_empty: Condvar,
-    data_capacity: usize,
-}
-
-impl<T> ClassedShared<T> {
-    fn lock(&self) -> std::sync::MutexGuard<'_, ClassedState<T>> {
-        // A poisoned mutex means a peer panicked mid-push/pop of a
-        // VecDeque, which cannot leave the queue structurally broken;
-        // recover the guard rather than cascading the panic.
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-/// Sending half of a two-class bounded queue; see [`classed_channel`].
-pub struct ClassedSender<T> {
-    shared: Arc<ClassedShared<T>>,
-}
-
-/// Receiving half of a two-class bounded queue; see [`classed_channel`].
-pub struct ClassedReceiver<T> {
-    shared: Arc<ClassedShared<T>>,
-}
-
-/// Creates a two-class bounded FIFO channel.
-///
-/// Both classes share one FIFO queue — classing changes *admission*, never
-/// *order*, so a pipeline using this channel stays deterministic:
-///
-/// - **Control** (punctuations, epoch barriers): [`ClassedSender::send_control`]
-///   always succeeds while the receiver lives. Control traffic is lossless
-///   and can never be blocked behind a data bound.
-/// - **Data**: [`ClassedSender::try_send_data`] is bounded at
-///   `data_capacity` in-flight data elements and hands the element back on
-///   [`DataRejected::Full`], giving the caller the backpressure /shed
-///   decision.
-#[must_use]
-pub fn classed_channel<T>(data_capacity: usize) -> (ClassedSender<T>, ClassedReceiver<T>) {
-    let shared = Arc::new(ClassedShared {
-        state: Mutex::new(ClassedState {
-            q: VecDeque::new(),
-            data_len: 0,
-            senders: 1,
-            rx_alive: true,
-        }),
-        not_empty: Condvar::new(),
-        data_capacity,
-    });
-    (ClassedSender { shared: Arc::clone(&shared) }, ClassedReceiver { shared })
-}
-
-impl<T> ClassedSender<T> {
-    /// Enqueues a control element. Control is never bounded: this fails
-    /// only when the receiver has been dropped, handing the element back.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(v)` when the receiving half is gone.
-    pub fn send_control(&self, v: T) -> Result<(), T> {
-        let mut st = self.shared.lock();
-        if !st.rx_alive {
-            return Err(v);
-        }
-        st.q.push_back(v);
-        drop(st);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Attempts to enqueue a data element, bounded by the channel's data
-    /// capacity.
-    ///
-    /// # Errors
-    ///
-    /// [`DataRejected::Full`] when `data_capacity` data elements are
-    /// already in flight; [`DataRejected::Disconnected`] when the
-    /// receiver is gone. Both hand the element back.
-    pub fn try_send_data(&self, v: T) -> Result<(), DataRejected<T>> {
-        let mut st = self.shared.lock();
-        if !st.rx_alive {
-            return Err(DataRejected::Disconnected(v));
-        }
-        if st.data_len >= self.shared.data_capacity {
-            return Err(DataRejected::Full(v));
-        }
-        st.q.push_back(v);
-        st.data_len += 1;
-        drop(st);
-        self.shared.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Number of data elements currently queued (control excluded).
-    #[must_use]
-    pub fn data_len(&self) -> usize {
-        self.shared.lock().data_len
-    }
-}
-
-impl<T> Clone for ClassedSender<T> {
-    fn clone(&self) -> Self {
-        self.shared.lock().senders += 1;
-        Self { shared: Arc::clone(&self.shared) }
-    }
-}
-
-impl<T> Drop for ClassedSender<T> {
-    fn drop(&mut self) {
-        let mut st = self.shared.lock();
-        st.senders -= 1;
-        let last = st.senders == 0;
-        drop(st);
-        if last {
-            self.shared.not_empty.notify_all();
-        }
-    }
-}
-
-impl<T> ClassedReceiver<T> {
-    /// Blocks until an element is available; returns `None` once every
-    /// sender is dropped and the queue is drained.
-    ///
-    /// The receiver cannot tell control from data — classing only guards
-    /// admission — so it must decrement the data bound itself; the
-    /// caller passes whether the popped element was data via the
-    /// provided closure-free two-step: pop first, then call
-    /// [`ClassedReceiver::data_popped`] for data elements.
-    pub fn recv(&self) -> Option<T> {
-        let mut st = self.shared.lock();
-        loop {
-            if let Some(v) = st.q.pop_front() {
-                return Some(v);
-            }
-            if st.senders == 0 {
-                return None;
-            }
-            st = self.shared.not_empty.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Informs the channel that a previously-received element was a data
-    /// element, freeing one slot of data capacity.
-    pub fn data_popped(&self) {
-        let mut st = self.shared.lock();
-        st.data_len = st.data_len.saturating_sub(1);
-    }
-
-    /// Total queued elements, both classes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared.lock().q.len()
-    }
-
-    /// True when nothing is queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Drop for ClassedReceiver<T> {
-    fn drop(&mut self) {
-        self.shared.lock().rx_alive = false;
-    }
-}
-
-impl<T> fmt::Debug for ClassedSender<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClassedSender").field("data_len", &self.data_len()).finish()
-    }
-}
-
-impl<T> fmt::Debug for ClassedReceiver<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ClassedReceiver").field("len", &self.len()).finish()
     }
 }
 
@@ -1361,53 +1154,6 @@ mod tests {
         assert_eq!(out.len(), 0, "negative control: the sp was lost");
         assert_eq!(shed.stats().sps_in, 1);
         assert_eq!(shed.stats().sps_out, 0);
-    }
-
-    #[test]
-    fn classed_channel_control_bypasses_data_bound() {
-        let (tx, rx) = classed_channel::<&'static str>(2);
-        tx.try_send_data("d1").unwrap();
-        tx.try_send_data("d2").unwrap();
-        assert!(matches!(tx.try_send_data("d3"), Err(DataRejected::Full("d3"))));
-        // Control still flows over a full data bound.
-        tx.send_control("sp").unwrap();
-        tx.send_control("barrier").unwrap();
-        assert_eq!(rx.len(), 4);
-        // FIFO order across classes.
-        assert_eq!(rx.recv(), Some("d1"));
-        rx.data_popped();
-        // A slot freed: data admits again.
-        tx.try_send_data("d3").unwrap();
-        assert_eq!(rx.recv(), Some("d2"));
-        rx.data_popped();
-        assert_eq!(rx.recv(), Some("sp"));
-        assert_eq!(rx.recv(), Some("barrier"));
-        assert_eq!(rx.recv(), Some("d3"));
-        rx.data_popped();
-        drop(tx);
-        assert_eq!(rx.recv(), None, "disconnect after drain");
-    }
-
-    #[test]
-    fn classed_channel_reports_disconnects_both_ways() {
-        let (tx, rx) = classed_channel::<u32>(1);
-        drop(rx);
-        assert_eq!(tx.send_control(7), Err(7));
-        assert!(matches!(tx.try_send_data(8), Err(DataRejected::Disconnected(8))));
-        let (tx, rx) = classed_channel::<u32>(1);
-        tx.try_send_data(1).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Some(1));
-        assert_eq!(rx.recv(), None);
-    }
-
-    #[test]
-    fn classed_channel_blocking_recv_wakes_on_send() {
-        let (tx, rx) = classed_channel::<u32>(4);
-        let h = std::thread::spawn(move || rx.recv());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        tx.send_control(42).unwrap();
-        assert_eq!(h.join().unwrap(), Some(42));
     }
 
     #[test]

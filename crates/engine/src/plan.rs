@@ -42,8 +42,8 @@ use crate::operator::{Emitter, Operator};
 use crate::ops::sink::Sink;
 use crate::stats::OperatorStats;
 use crate::telemetry::{
-    merge_recorders, span::span, AuditOp, AuditTrail, Histogram, MetricsRegistry, SpanSheet,
-    TelemetryConfig,
+    add_plan_metrics, merge_recorders, operator_labels, AuditOp, AuditTrail, Histogram,
+    MetricsRegistry, SpanSheet, TelemetryConfig,
 };
 
 /// Reference to a plan node (an operator added to a builder).
@@ -236,7 +236,7 @@ impl PlanBuilder {
         }
     }
 
-    /// Decomposes the builder for alternative runtimes (parallel executor).
+    /// Decomposes the builder for the sharded executor's coordinator.
     pub(crate) fn into_parts(mut self) -> (Vec<Node>, Vec<Source>, Vec<Sink>, TelemetryConfig) {
         self.apply_telemetry();
         (self.nodes, self.sources, self.sinks, self.telemetry)
@@ -351,7 +351,6 @@ impl Executor {
     /// work queued behind the failing element is discarded (fail-closed:
     /// nothing is released past a failed operator).
     pub fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        let _span = span("executor.push");
         self.stage(stream, elem);
         self.drain()
     }
@@ -383,7 +382,6 @@ impl Executor {
             }
             return Ok(());
         }
-        let _span = span("executor.push_all");
         let mut pending = 0usize;
         for (stream, elem) in items {
             self.stage(stream, elem);
@@ -520,7 +518,6 @@ impl Executor {
     ///
     /// Propagates the first [`EngineError`] an operator reports.
     pub fn finish(&mut self) -> Result<(), EngineError> {
-        let _span = span("executor.finish");
         let coalesce = self.batching;
         let mut staged = std::mem::take(&mut self.staged);
         for source in &mut self.sources {
@@ -618,8 +615,8 @@ impl Executor {
     /// Assembles the plan-wide span sheet in canonical section order:
     /// analyzers (by source index) first, then operators (by node index).
     /// Sections whose recorder is disabled are omitted, so a sequential
-    /// run and a pipeline-parallel run of the same plan yield
-    /// byte-identical [`SpanSheet::encode_to_vec`] output.
+    /// run and a sharded run of the same plan yield byte-identical
+    /// [`SpanSheet::encode_to_vec`] output.
     #[must_use]
     pub fn span_sheet(&self) -> SpanSheet {
         #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
@@ -641,7 +638,7 @@ impl Executor {
     /// analyzers (by source index) first, then operators (by node index).
     ///
     /// Sections whose recorder is disabled are omitted, so a sequential run
-    /// and a pipeline-parallel run of the same plan yield byte-identical
+    /// and a sharded run of the same plan yield byte-identical
     /// [`AuditTrail::encode_to_vec`] output.
     #[must_use]
     pub fn audit_trail(&self) -> AuditTrail {
@@ -667,39 +664,19 @@ impl Executor {
     #[must_use]
     pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
+        add_plan_metrics(
+            &mut reg,
+            self.nodes.iter().enumerate().map(|(i, node)| {
+                let s = node.op.stats();
+                let counters = [s.tuples_in, s.tuples_out, s.sps_in, s.sps_out, s.tuples_shielded];
+                (i, node.op.name(), counters)
+            }),
+            &self.degradation(),
+            &self.audit_trail(),
+            &self.span_sheet(),
+        );
         for (i, node) in self.nodes.iter().enumerate() {
-            let labels = format!("op=\"{}\",node=\"{i}\"", node.op.name());
-            let s = node.op.stats();
-            reg.add_counter(
-                "sp_tuples_in_total",
-                "Tuples entering an operator",
-                &labels,
-                s.tuples_in,
-            );
-            reg.add_counter(
-                "sp_tuples_out_total",
-                "Tuples emitted by an operator",
-                &labels,
-                s.tuples_out,
-            );
-            reg.add_counter(
-                "sp_sps_in_total",
-                "Security punctuations entering an operator",
-                &labels,
-                s.sps_in,
-            );
-            reg.add_counter(
-                "sp_sps_out_total",
-                "Security punctuations emitted by an operator",
-                &labels,
-                s.sps_out,
-            );
-            reg.add_counter(
-                "sp_tuples_shielded_total",
-                "Tuples suppressed by the Security Shield",
-                &labels,
-                s.tuples_shielded,
-            );
+            let labels = operator_labels(node.op.name(), i);
             if self.telemetry.metrics {
                 reg.merge_histogram(
                     "sp_operator_latency_ns",
@@ -741,44 +718,6 @@ impl Executor {
                 &self.queue_depth,
             );
         }
-        for (kind, value) in self.degradation().named_counters() {
-            reg.add_counter(
-                "sp_degradation_total",
-                "Fail-closed degradation counters (kind label selects the counter)",
-                &format!("kind=\"{kind}\""),
-                value,
-            );
-        }
-        let trail = self.audit_trail();
-        if trail.sections().next().is_some() {
-            reg.add_counter(
-                "sp_audit_records",
-                "Audit records currently held by flight recorders",
-                "",
-                trail.len() as u64,
-            );
-            reg.add_counter(
-                "sp_audit_evicted_total",
-                "Audit records evicted from bounded flight recorders",
-                "",
-                trail.evicted(),
-            );
-        }
-        let sheet = self.span_sheet();
-        if !sheet.is_empty() || sheet.evicted() > 0 {
-            reg.add_counter(
-                "sp_span_records",
-                "sp-trace spans currently held by span recorders",
-                "",
-                sheet.len() as u64,
-            );
-            reg.add_counter(
-                "sp_spans_evicted_total",
-                "sp-trace spans evicted from bounded span recorders",
-                "",
-                sheet.evicted(),
-            );
-        }
         reg
     }
 
@@ -800,7 +739,6 @@ impl Executor {
     /// `push` calls is a consistent cut.
     #[must_use]
     pub fn checkpoint(&self, epoch: u64, input_pos: u64) -> crate::checkpoint::Checkpoint {
-        let _span = span("executor.checkpoint");
         debug_assert!(self.queue.is_empty(), "checkpoint requires quiescence");
         let mut analyzers = Vec::with_capacity(self.sources.len());
         for source in &self.sources {
@@ -833,7 +771,6 @@ impl Executor {
     /// decode; the executor must then be discarded — state may be partially
     /// restored.
     pub fn restore(&mut self, ckpt: &crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
-        let _span = span("executor.restore");
         if ckpt.analyzers.len() != self.sources.len()
             || ckpt.nodes.len() != self.nodes.len()
             || ckpt.sinks.len() != self.sinks.len()

@@ -1,15 +1,13 @@
 //! Key-partitioned shard scale-out with a deterministic exchange merge.
 //!
-//! [`run_parallel`](crate::parallel::run_parallel) caps out at pipeline
-//! parallelism — one worker per operator stage, throughput bounded by the
-//! slowest stage. This module scales *out* instead: the
-//! [`ShardedExecutor`] runs N full replicas of a (shard-safe) plan, a
-//! [`Partitioner`] routes each tuple run to the shard owning its key,
-//! and a seq-ordered exchange merge reassembles one deterministic output
-//! stream. The design goal is the same as every other runtime in this
-//! crate: **sharded execution is observationally identical to sequential
-//! execution** — released set, policy table, audit trail, and span sheet
-//! are byte-identical at any shard count.
+//! The sequential [`Executor`] runs a plan on one thread. This module
+//! scales it *out*: the [`ShardedExecutor`] runs N full replicas of a
+//! (shard-safe) plan, a [`Partitioner`] routes each tuple run to the
+//! shard owning its key, and a seq-ordered exchange merge reassembles
+//! one deterministic output stream. The design goal: **sharded execution
+//! is observationally identical to sequential execution** — released
+//! set, policy table, audit trail, and span sheet are byte-identical at
+//! any shard count.
 //!
 //! # Who runs what
 //!
@@ -83,7 +81,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{
     channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use sp_core::{StreamElement, StreamId, Tuple};
 
@@ -93,12 +91,11 @@ use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::ops::Sink;
-use crate::parallel::{join_with_deadline, DRAIN_TIMEOUT, STALL_DEADLINE};
 use crate::plan::{Executor, PlanBuilder, SinkRef};
 use crate::stats::DegradationStats;
 use crate::telemetry::{
-    merge_recorders, AuditOp, AuditRecord, AuditTrail, FlightRecorder, MetricsRegistry, SpanRecord,
-    SpanRecorder, SpanSheet,
+    add_plan_metrics, merge_recorders, AuditOp, AuditRecord, AuditTrail, FlightRecorder,
+    MetricsRegistry, SpanRecord, SpanRecorder, SpanSheet,
 };
 
 /// Envelopes per channel send: the coordinator buffers this many routed
@@ -106,9 +103,15 @@ use crate::telemetry::{
 const CHUNK: usize = 64;
 
 /// Bounded depth (in chunks) of each shard's input queue — the
-/// backpressure bound, playing the role of
-/// [`EDGE_CAPACITY`](crate::parallel::EDGE_CAPACITY).
+/// backpressure bound.
 const SHARD_QUEUE_CHUNKS: usize = 64;
+
+/// How long a full shard queue may refuse a chunk before the run is
+/// declared wedged.
+pub(crate) const STALL_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How long a round trip or shutdown waits for the shards to drain.
+pub(crate) const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Minimum ring capacity for *shard-local* recorders. Workers extract
 /// new records after every injected run, so a shard ring only needs to
@@ -238,28 +241,15 @@ struct Cursors {
     spans: Vec<u64>,
 }
 
-/// Pulls the records a recorder gained since `cursor`, advancing it.
-/// Fails closed if the ring already evicted unextracted records (cannot
-/// happen below [`SHARD_RECORDER_SLACK`]-sized runs, but a silent gap
-/// would corrupt the canonical trail, so it is an error, not a guess).
-fn extract_new<R: Copy>(
-    records: impl Iterator<Item = R>,
-    len: u64,
-    evicted: u64,
-    cursor: &mut u64,
-    stage: &str,
-) -> Result<Vec<R>, EngineError> {
-    let total = len + evicted;
-    if evicted > *cursor {
-        return Err(EngineError::ShardDivergence {
-            stage: stage.to_string(),
-            reason: "recorder ring evicted records between exchange extractions".to_string(),
-        });
+/// The fail-closed error for a shard ring that evicted records before
+/// the exchange extracted them (cannot happen below
+/// [`SHARD_RECORDER_SLACK`]-sized runs, but a silent gap would corrupt
+/// the canonical trail, so it is an error, not a guess).
+fn eviction_gap(node: usize, plane: &str) -> EngineError {
+    EngineError::ShardDivergence {
+        stage: format!("node {node} {plane}"),
+        reason: "recorder ring evicted records between exchange extractions".to_string(),
     }
-    let new = total - *cursor;
-    *cursor = total;
-    #[allow(clippy::cast_possible_truncation)] // new <= len <= ring size
-    Ok(records.skip((len - new) as usize).collect())
 }
 
 /// Extracts one shard's delta after an injected run.
@@ -274,25 +264,15 @@ fn extract_delta(
     #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
     for i in 0..exec.node_count() {
         if let Some(rec) = exec.node_op(i).audit() {
-            let new = extract_new(
-                rec.records().copied(),
-                rec.len() as u64,
-                rec.evicted(),
-                &mut cursors.audit[i],
-                &format!("node {i} audit"),
-            )?;
+            let new =
+                rec.take_since(&mut cursors.audit[i]).ok_or_else(|| eviction_gap(i, "audit"))?;
             if !new.is_empty() {
                 audit.push((i as u32, new));
             }
         }
         if let Some(rec) = exec.node_op(i).spans() {
-            let new = extract_new(
-                rec.records().copied(),
-                rec.len() as u64,
-                rec.evicted(),
-                &mut cursors.spans[i],
-                &format!("node {i} spans"),
-            )?;
+            let new =
+                rec.take_since(&mut cursors.spans[i]).ok_or_else(|| eviction_gap(i, "spans"))?;
             if !new.is_empty() {
                 spans.push((i as u32, new));
             }
@@ -912,7 +892,7 @@ impl ShardedExecutor {
                 for (node, recs) in d.audit {
                     let rec = &mut self.canonical_audit[node as usize];
                     for r in recs {
-                        rec.record(r.tid, r.ts, r.event);
+                        rec.record(r);
                     }
                 }
                 for (node, recs) in d.spans {
@@ -944,8 +924,8 @@ impl ShardedExecutor {
         }
     }
 
-    /// Flushes shard `k`'s envelope buffer, with the same bounded-stall
-    /// policy as a parallel pipeline edge — and names the stalled shard
+    /// Flushes shard `k`'s envelope buffer, waiting at most
+    /// [`STALL_DEADLINE`] for queue space — and names the stalled shard
     /// when the deadline passes.
     fn flush_shard(&mut self, k: usize) -> Result<(), EngineError> {
         let mut chunk = {
@@ -1433,68 +1413,19 @@ impl ShardedExecutor {
         } else {
             Vec::new()
         };
-        for (i, node) in self.nodes.iter().enumerate() {
-            let Some(Some(s)) = counters.get(i) else { continue };
-            let labels = format!("op=\"{}\",node=\"{i}\"", node.op.name());
-            reg.add_counter("sp_tuples_in_total", "Tuples entering an operator", &labels, s[0]);
-            reg.add_counter("sp_tuples_out_total", "Tuples emitted by an operator", &labels, s[1]);
-            reg.add_counter(
-                "sp_sps_in_total",
-                "Security punctuations entering an operator",
-                &labels,
-                s[2],
-            );
-            reg.add_counter(
-                "sp_sps_out_total",
-                "Security punctuations emitted by an operator",
-                &labels,
-                s[3],
-            );
-            reg.add_counter(
-                "sp_tuples_shielded_total",
-                "Tuples suppressed by the Security Shield",
-                &labels,
-                s[4],
-            );
-        }
-        for (kind, value) in self.degradation().named_counters() {
-            reg.add_counter(
-                "sp_degradation_total",
-                "Fail-closed degradation counters (kind label selects the counter)",
-                &format!("kind=\"{kind}\""),
-                value,
-            );
-        }
+        let degradation = self.degradation();
         let trail = self.audit_trail();
-        if trail.sections().next().is_some() {
-            reg.add_counter(
-                "sp_audit_records",
-                "Audit records currently held by flight recorders",
-                "",
-                trail.len() as u64,
-            );
-            reg.add_counter(
-                "sp_audit_evicted_total",
-                "Audit records evicted from bounded flight recorders",
-                "",
-                trail.evicted(),
-            );
-        }
         let sheet = self.span_sheet();
-        if !sheet.is_empty() || sheet.evicted() > 0 {
-            reg.add_counter(
-                "sp_span_records",
-                "sp-trace spans currently held by span recorders",
-                "",
-                sheet.len() as u64,
-            );
-            reg.add_counter(
-                "sp_spans_evicted_total",
-                "sp-trace spans evicted from bounded span recorders",
-                "",
-                sheet.evicted(),
-            );
-        }
+        add_plan_metrics(
+            &mut reg,
+            self.nodes.iter().enumerate().filter_map(|(i, node)| {
+                let s = counters.get(i).copied().flatten()?;
+                Some((i, node.op.name(), s))
+            }),
+            &degradation,
+            &trail,
+            &sheet,
+        );
         reg.add_counter(
             "sp_shard_count",
             "Shard replicas in the sharded executor",
@@ -1528,6 +1459,42 @@ impl ShardedExecutor {
     pub fn metrics_json(&mut self) -> String {
         self.metrics().render_json()
     }
+}
+
+/// Joins a set of worker handles against `deadline`, converting worker
+/// panics (which containment should have caught already) and
+/// propagating the first worker error.
+pub(crate) fn join_with_deadline(
+    handles: Vec<(String, std::thread::JoinHandle<Result<(), EngineError>>)>,
+    deadline: Instant,
+) -> Result<(), EngineError> {
+    // Wait (bounded) for all workers to finish before joining any: join()
+    // itself blocks indefinitely, so only poll-then-join is deadline-safe.
+    loop {
+        let pending = handles.iter().filter(|(_, h)| !h.is_finished()).count();
+        if pending == 0 {
+            break;
+        }
+        if Instant::now() >= deadline {
+            // Leaves the stragglers detached; they hold only their own
+            // channels, which die with them. Name them so the worker
+            // wedging the graph is visible in the error.
+            let stalled = handles
+                .iter()
+                .filter(|(_, h)| !h.is_finished())
+                .map(|(name, _)| name.clone())
+                .collect();
+            return Err(EngineError::ShutdownTimeout { pending_workers: pending, stalled });
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for (name, handle) in handles {
+        match handle.join() {
+            Ok(result) => result?,
+            Err(payload) => return Err(EngineError::from_panic(&name, payload.as_ref())),
+        }
+    }
+    Ok(())
 }
 
 impl Drop for ShardedExecutor {

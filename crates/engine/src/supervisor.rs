@@ -47,7 +47,7 @@ use crate::error::EngineError;
 use crate::plan::{Executor, PlanBuilder};
 use crate::shard::ShardedExecutor;
 use crate::stats::DegradationStats;
-use crate::telemetry::{span::span, AuditEvent, AuditOp, AuditTrail, FlightRecorder, NO_TUPLE};
+use crate::telemetry::{AuditEvent, AuditOp, AuditRecord, AuditTrail, FlightRecorder, NO_TUPLE};
 
 /// The executor surface crash supervision needs: feed input, cut
 /// checkpoints at quiescent points, and restore a rebuilt instance from a
@@ -427,7 +427,6 @@ fn supervise<E: SessionExecutor>(
         }
 
         // ---- the pipeline died: recover --------------------------------
-        let _span = span("supervisor.recover");
         // Audited: the loop only reaches here with `death` set.
         let err =
             death.take().unwrap_or(EngineError::ChannelDisconnected { stage: "supervisor".into() });
@@ -438,7 +437,11 @@ fn supervise<E: SessionExecutor>(
             let resume = store.load_latest().map_or(0, |c| c.input_pos);
             let refused = (input.len() as u64).saturating_sub(resume);
             report.recovery_dropped += refused;
-            audit.record(NO_TUPLE, resume, AuditEvent::RecoveryFailClosed { refused });
+            audit.record(AuditRecord::new(
+                NO_TUPLE,
+                resume,
+                AuditEvent::RecoveryFailClosed { refused },
+            ));
             let failure =
                 EngineError::RecoveryExhausted { attempts: report.restart_attempts - 1, refused };
             return Ok(SupervisedRun { executor: exec, report, failure: Some(failure), audit });
@@ -453,11 +456,11 @@ fn supervise<E: SessionExecutor>(
                     report.checkpoints_restored += 1;
                     report.epochs_replayed +=
                         crash_pos.saturating_sub(ckpt.input_pos).div_ceil(interval);
-                    audit.record(
+                    audit.record(AuditRecord::new(
                         NO_TUPLE,
                         ckpt.input_pos,
                         AuditEvent::Restored { epoch: ckpt.epoch },
-                    );
+                    ));
                     epoch = ckpt.epoch;
                     pos = ckpt.input_pos as usize;
                 }

@@ -1,7 +1,7 @@
 //! Security-decision audit trail and live telemetry.
 //!
-//! Three cooperating facilities (ISSUE 4; motivated by SecureStreams'
-//! and Streamforce's auditable-enforcement requirements):
+//! Four cooperating facilities (motivated by SecureStreams' and
+//! Streamforce's auditable-enforcement requirements):
 //!
 //! 1. **Flight recorder** ([`FlightRecorder`]) — a bounded ring buffer of
 //!    [`AuditRecord`]s, one per access-control decision: tuple released
@@ -9,7 +9,7 @@
 //!    suppressed, shed, quarantined (with a [`QuarantineReason`]),
 //!    stale-sp discarded, ladder transition, checkpoint restore, terminal
 //!    fail-closed. Records are keyed to *stream time* and tuple ids only
-//!    — never wall clock — so sequential and parallel runs over the same
+//!    — never wall clock — so sequential and sharded runs over the same
 //!    input produce byte-identical audit streams (see [`AuditTrail`]).
 //! 2. **Metrics registry** ([`MetricsRegistry`]) — log₂-bucket
 //!    [`Histogram`]s (per-operator latency, queue depth) plus named
@@ -21,23 +21,23 @@
 //!    enforcement, release/suppress, standby apply). Trace and span ids
 //!    are derived deterministically from element identity
 //!    ([`sp_core::trace`]), so spans recorded by the client, the server,
-//!    a parallel worker, and a promoted standby merge into one tree.
-//!    Recording is *runtime-toggleable* via [`span::set_enabled`]; the
-//!    `trace-off` cargo feature is a compile-time hard-off override.
+//!    a shard replica, and a promoted standby merge into one tree.
+//!    Spans are on exactly when [`TelemetryConfig::span_capacity`] is
+//!    non-zero.
 //! 4. **Enforcement-lag tracking** ([`LagTracker`]) — per-shield
 //!    histograms of the paper's immediate-enforcement promise: sp-arrival
 //!    → enforcement lag, sp-arrival → first-affected-release lag, and
 //!    revocation → suppression lag (the "security hole" width), all in
 //!    stream time so replays reproduce them exactly.
-//! 5. **Span facade** ([`span::span`]) — structured begin/end markers
-//!    around executor steps, epoch cuts and supervisor recoveries.
-//!    Compiled to nothing unless the `trace` cargo feature is on (no
-//!    `tracing` crate is vendored, so the facade is in-crate).
 //!
-//! Telemetry is **off by default**: a [`FlightRecorder`] or
-//! [`SpanRecorder`] with capacity 0 never allocates, and an executor
-//! built without [`TelemetryConfig::enabled`] takes no histogram samples,
-//! so the hot path is unchanged when observability is not requested.
+//! Both record planes share one implementation: a [`Ring`] per operator
+//! and a [`Sheet`] of canonically ordered rings per pipeline, generic
+//! over the [`Record`] they keep.
+//!
+//! Telemetry is **off by default**: a ring with capacity 0 never
+//! allocates, and an executor built without [`TelemetryConfig::enabled`]
+//! takes no histogram samples, so the hot path is unchanged when
+//! observability is not requested.
 //!
 //! Audit state is deliberately **not** checkpointed: the recorder is an
 //! observability surface, not replayable operator state. On restore every
@@ -49,6 +49,7 @@ use std::collections::VecDeque;
 use sp_core::{RoleCatalog, RoleId};
 
 use crate::overload::OverloadLevel;
+use crate::stats::DegradationStats;
 
 /// Sentinel tuple id for audit records not tied to a single tuple
 /// (ladder transitions, restores, stale-sp batch discards).
@@ -317,6 +318,13 @@ impl AuditEvent {
     }
 }
 
+/// A fixed-size entry kept by a [`Ring`]: one audit decision
+/// ([`AuditRecord`]) or one causal span ([`SpanRecord`]).
+pub trait Record: Copy {
+    /// Appends the deterministic big-endian encoding to `buf`.
+    fn encode(&self, buf: &mut Vec<u8>);
+}
+
 /// One entry in the flight recorder: *which tuple*, *when in stream
 /// time*, *what was decided*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,41 +339,97 @@ pub struct AuditRecord {
 }
 
 impl AuditRecord {
-    /// Appends the deterministic big-endian encoding to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
+    /// The record of `event` concerning tuple `tid` at stream time `ts`.
+    #[must_use]
+    pub const fn new(tid: u64, ts: u64, event: AuditEvent) -> Self {
+        Self { tid, ts, event }
+    }
+}
+
+impl Record for AuditRecord {
+    fn encode(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&self.tid.to_be_bytes());
         buf.extend_from_slice(&self.ts.to_be_bytes());
         self.event.encode(buf);
     }
 }
 
-/// Bounded ring buffer of [`AuditRecord`]s — the per-operator "flight
-/// recorder".
+/// One causal span: an element's visit to one pipeline site.
 ///
-/// Capacity 0 (the [`Default`]) means *disabled*: [`FlightRecorder::record`]
-/// is a branch and a return, with no allocation ever. When full, the
-/// oldest record is evicted and counted, so the ring always holds the
-/// most recent `capacity` decisions and [`FlightRecorder::evicted`]
-/// reports how much history scrolled off.
-#[derive(Debug, Clone, Default)]
-pub struct FlightRecorder {
+/// Like [`AuditRecord`], every field is derived from *element identity*
+/// and stream time — never wall clock — so sequential, sharded, and
+/// replayed runs over the same input record byte-identical spans. Ids
+/// come from [`sp_core::trace`]: `span_id` is a pure function of
+/// `(trace_id, site)` and `parent` names the causally preceding hop,
+/// which may have been recorded in another process entirely.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRecord {
+    /// The trace this span belongs to (per-element identity).
+    pub trace_id: u64,
+    /// This span's id (derived from `trace_id` + `site`).
+    pub span_id: u64,
+    /// The causally preceding span's id (0 = root).
+    pub parent: u64,
+    /// The pipeline site ([`sp_core::trace::site`]).
+    pub site: u8,
+    /// Tuple id the hop concerns, or [`NO_TUPLE`] for sp/policy hops.
+    pub tid: u64,
+    /// Stream time of the hop (tuple or sp-batch timestamp).
+    pub ts: u64,
+}
+
+impl SpanRecord {
+    /// Builds the span for `site` of `trace_id`, deriving the span id.
+    #[must_use]
+    pub fn at(trace_id: u64, site: u8, parent: u64, tid: u64, ts: u64) -> Self {
+        Self { trace_id, span_id: sp_core::trace::span_id(trace_id, site), parent, site, tid, ts }
+    }
+}
+
+impl Record for SpanRecord {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.trace_id.to_be_bytes());
+        buf.extend_from_slice(&self.span_id.to_be_bytes());
+        buf.extend_from_slice(&self.parent.to_be_bytes());
+        buf.push(self.site);
+        buf.extend_from_slice(&self.tid.to_be_bytes());
+        buf.extend_from_slice(&self.ts.to_be_bytes());
+    }
+}
+
+/// Bounded ring buffer of records — one per operator and plane: the
+/// audit "flight recorder" ([`FlightRecorder`]) or the span plane
+/// ([`SpanRecorder`]).
+///
+/// Capacity 0 (the [`Default`]) means *disabled*: [`Ring::record`] is a
+/// branch and a return, with no allocation ever. When full, the oldest
+/// record is evicted and counted, so the ring always holds the most
+/// recent `capacity` records and [`Ring::evicted`] reports how much
+/// history scrolled off.
+#[derive(Debug, Clone)]
+pub struct Ring<R> {
     capacity: usize,
-    records: VecDeque<AuditRecord>,
+    records: VecDeque<R>,
     evicted: u64,
 }
 
-impl FlightRecorder {
-    /// A recorder that keeps the latest `capacity` records
-    /// (0 = disabled).
+/// The per-operator audit ring.
+pub type FlightRecorder = Ring<AuditRecord>;
+
+/// The per-operator sp-trace span ring.
+pub type SpanRecorder = Ring<SpanRecord>;
+
+impl<R> Default for Ring<R> {
+    fn default() -> Self {
+        Self { capacity: 0, records: VecDeque::new(), evicted: 0 }
+    }
+}
+
+impl<R: Record> Ring<R> {
+    /// A ring that keeps the latest `capacity` records (0 = disabled).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self { capacity, records: VecDeque::new(), evicted: 0 }
-    }
-
-    /// A disabled recorder (capacity 0).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::default()
+        Self { capacity, ..Self::default() }
     }
 
     /// Whether recording is on (capacity > 0).
@@ -374,15 +438,9 @@ impl FlightRecorder {
         self.capacity > 0
     }
 
-    /// Configured ring capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records one decision; a no-op when disabled.
+    /// Records one entry; a no-op when disabled.
     #[inline]
-    pub fn record(&mut self, tid: u64, ts: u64, event: AuditEvent) {
+    pub fn record(&mut self, rec: R) {
         if self.capacity == 0 {
             return;
         }
@@ -390,11 +448,11 @@ impl FlightRecorder {
             self.records.pop_front();
             self.evicted += 1;
         }
-        self.records.push_back(AuditRecord { tid, ts, event });
+        self.records.push_back(rec);
     }
 
     /// Records kept, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &AuditRecord> {
+    pub fn records(&self) -> impl Iterator<Item = &R> {
         self.records.iter()
     }
 
@@ -424,6 +482,17 @@ impl FlightRecorder {
         self.evicted = 0;
     }
 
+    /// The records added since `cursor` — the ring's `len + evicted` at
+    /// the previous call, 0 at the first — advancing `cursor`. `None` if
+    /// the ring already evicted some of them: the history would have a
+    /// gap.
+    pub fn take_since(&self, cursor: &mut u64) -> Option<Vec<R>> {
+        let start = usize::try_from(cursor.checked_sub(self.evicted)?).ok()?;
+        let new = self.records.range(start.min(self.records.len())..).copied().collect();
+        *cursor = self.evicted + self.records.len() as u64;
+        Some(new)
+    }
+
     /// Appends the deterministic encoding: eviction count, record count,
     /// then each record oldest-first.
     pub fn encode(&self, buf: &mut Vec<u8>) {
@@ -435,9 +504,9 @@ impl FlightRecorder {
     }
 }
 
-/// Which pipeline stage a trail section came from. The derived `Ord`
+/// Which pipeline stage a sheet section came from. The derived `Ord`
 /// (sources ascending, then nodes ascending, then the supervisor) is the
-/// canonical section order of an [`AuditTrail`].
+/// canonical section order of a [`Sheet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AuditOp {
     /// The ingestion boundary before the pipeline (server tenant worker
@@ -478,41 +547,55 @@ impl AuditOp {
     }
 }
 
-/// A whole pipeline's audit history: one [`FlightRecorder`] per
-/// recording operator, in canonical [`AuditOp`] order.
+/// A whole pipeline's history on one plane: one [`Ring`] per recording
+/// stage, in canonical [`AuditOp`] order — the audit trail
+/// ([`AuditTrail`]) or the span sheet ([`SpanSheet`]).
 ///
-/// Within one operator, record order is fixed by the runtime (each
-/// operator processes its input serially in both the sequential executor
-/// and the pipeline-parallel runner), and the canonical section order
-/// removes the only run-dependent freedom — thread interleaving — so
-/// [`AuditTrail::encode_to_vec`] is identical for sequential and
-/// parallel runs over the same input.
-#[derive(Debug, Clone, Default)]
-pub struct AuditTrail {
-    sections: Vec<(AuditOp, FlightRecorder)>,
+/// Within one stage, record order is fixed by the runtime (each operator
+/// processes its input serially, and shard replicas' records are
+/// re-recorded in input order), and the canonical section order removes
+/// the only run-dependent freedom — assembly order — so
+/// [`Sheet::encode_to_vec`] is identical for sequential and sharded runs
+/// over the same input. Two runs are *audit-* (or *trace-*) *equivalent*
+/// iff these bytes are equal.
+#[derive(Debug, Clone)]
+pub struct Sheet<R> {
+    sections: Vec<(AuditOp, Ring<R>)>,
 }
 
-impl AuditTrail {
-    /// An empty trail.
+/// A whole pipeline's audit history.
+pub type AuditTrail = Sheet<AuditRecord>;
+
+/// A whole pipeline's sp-trace span history.
+pub type SpanSheet = Sheet<SpanRecord>;
+
+impl<R> Default for Sheet<R> {
+    fn default() -> Self {
+        Self { sections: Vec::new() }
+    }
+}
+
+impl<R: Record> Sheet<R> {
+    /// An empty sheet.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds one operator's recorder, keeping sections in canonical
-    /// order regardless of insertion order.
-    pub fn push_section(&mut self, op: AuditOp, recorder: FlightRecorder) {
-        self.sections.push((op, recorder));
+    /// Adds one stage's ring, keeping sections in canonical order
+    /// regardless of insertion order.
+    pub fn push_section(&mut self, op: AuditOp, ring: Ring<R>) {
+        self.sections.push((op, ring));
         self.sections.sort_by_key(|(op, _)| *op);
     }
 
     /// The sections in canonical order.
-    pub fn sections(&self) -> impl Iterator<Item = (AuditOp, &FlightRecorder)> {
+    pub fn sections(&self) -> impl Iterator<Item = (AuditOp, &Ring<R>)> {
         self.sections.iter().map(|(op, r)| (*op, r))
     }
 
-    /// Every record with its originating operator, section by section.
-    pub fn records(&self) -> impl Iterator<Item = (AuditOp, &AuditRecord)> {
+    /// Every record with its originating stage, section by section.
+    pub fn records(&self) -> impl Iterator<Item = (AuditOp, &R)> {
         self.sections.iter().flat_map(|(op, r)| r.records().map(move |rec| (*op, rec)))
     }
 
@@ -535,19 +618,20 @@ impl AuditTrail {
         self.sections.iter().map(|(_, r)| r.evicted()).sum()
     }
 
-    /// The deterministic encoding of the whole trail. Two runs over the
-    /// same input are *audit-equivalent* iff these bytes are equal.
+    /// The deterministic encoding of the whole sheet.
     #[must_use]
     pub fn encode_to_vec(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(self.sections.len() as u32).to_be_bytes());
-        for (op, rec) in &self.sections {
+        for (op, ring) in &self.sections {
             op.encode(&mut buf);
-            rec.encode(&mut buf);
+            ring.encode(&mut buf);
         }
         buf
     }
+}
 
+impl Sheet<AuditRecord> {
     /// Renders the trail as human-readable lines, one per record —
     /// e.g. `[node 2] tuple 42 released to role Nurse via DDP @1300ms`.
     /// Role ids resolve to names through `catalog` when provided.
@@ -612,210 +696,7 @@ impl AuditTrail {
     }
 }
 
-/// One causal span: an element's visit to one pipeline site.
-///
-/// Like [`AuditRecord`], every field is derived from *element identity*
-/// and stream time — never wall clock — so sequential, parallel, and
-/// replayed runs over the same input record byte-identical spans. Ids
-/// come from [`sp_core::trace`]: `span_id` is a pure function of
-/// `(trace_id, site)` and `parent` names the causally preceding hop,
-/// which may have been recorded in another process entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// The trace this span belongs to (per-element identity).
-    pub trace_id: u64,
-    /// This span's id (derived from `trace_id` + `site`).
-    pub span_id: u64,
-    /// The causally preceding span's id (0 = root).
-    pub parent: u64,
-    /// The pipeline site ([`sp_core::trace::site`]).
-    pub site: u8,
-    /// Tuple id the hop concerns, or [`NO_TUPLE`] for sp/policy hops.
-    pub tid: u64,
-    /// Stream time of the hop (tuple or sp-batch timestamp).
-    pub ts: u64,
-}
-
-impl SpanRecord {
-    /// Builds the span for `site` of `trace_id`, deriving the span id.
-    #[must_use]
-    pub fn at(trace_id: u64, site: u8, parent: u64, tid: u64, ts: u64) -> Self {
-        Self { trace_id, span_id: sp_core::trace::span_id(trace_id, site), parent, site, tid, ts }
-    }
-
-    /// Appends the deterministic big-endian encoding to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.trace_id.to_be_bytes());
-        buf.extend_from_slice(&self.span_id.to_be_bytes());
-        buf.extend_from_slice(&self.parent.to_be_bytes());
-        buf.push(self.site);
-        buf.extend_from_slice(&self.tid.to_be_bytes());
-        buf.extend_from_slice(&self.ts.to_be_bytes());
-    }
-}
-
-/// Bounded ring buffer of [`SpanRecord`]s — the per-operator span plane.
-///
-/// Same discipline as [`FlightRecorder`]: capacity 0 (the [`Default`])
-/// means disabled with no allocation ever; when full, the oldest span is
-/// evicted and counted. On top of the capacity gate, recording consults
-/// the *runtime* toggle [`span::enabled`] on every call, so an operator
-/// built with spans on can be silenced (and re-armed) live without a
-/// rebuild — and the `trace-off` cargo feature compiles the whole check
-/// to `false`.
-#[derive(Debug, Clone, Default)]
-pub struct SpanRecorder {
-    capacity: usize,
-    records: VecDeque<SpanRecord>,
-    evicted: u64,
-}
-
-impl SpanRecorder {
-    /// A recorder keeping the latest `capacity` spans (0 = disabled).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Self { capacity, records: VecDeque::new(), evicted: 0 }
-    }
-
-    /// A disabled recorder (capacity 0).
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::default()
-    }
-
-    /// Whether this recorder would record right now (capacity > 0 *and*
-    /// the runtime toggle is on).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.capacity > 0 && span::enabled()
-    }
-
-    /// Configured ring capacity (> 0 even while the runtime toggle is
-    /// off).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Records one span; a no-op when disabled by capacity or toggle.
-    #[inline]
-    pub fn record(&mut self, rec: SpanRecord) {
-        if self.capacity == 0 || !span::enabled() {
-            return;
-        }
-        if self.records.len() >= self.capacity {
-            self.records.pop_front();
-            self.evicted += 1;
-        }
-        self.records.push_back(rec);
-    }
-
-    /// Spans kept, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.records.iter()
-    }
-
-    /// Number of spans currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the ring holds no spans.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Spans evicted because the ring was full.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Discards all spans and the eviction count (capacity keeps).
-    /// Called on operator `restore` so deterministic replay repopulates
-    /// the ring without duplicating pre-crash history.
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.evicted = 0;
-    }
-
-    /// Appends the deterministic encoding: eviction count, span count,
-    /// then each span oldest-first.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.evicted.to_be_bytes());
-        buf.extend_from_slice(&(self.records.len() as u32).to_be_bytes());
-        for r in &self.records {
-            r.encode(buf);
-        }
-    }
-}
-
-/// A whole pipeline's span history: one [`SpanRecorder`] per recording
-/// site, in canonical [`AuditOp`] order — the span-plane analogue of
-/// [`AuditTrail`], with the same determinism contract: two runs over the
-/// same input are *trace-equivalent* iff [`SpanSheet::encode_to_vec`]
-/// bytes are equal.
-#[derive(Debug, Clone, Default)]
-pub struct SpanSheet {
-    sections: Vec<(AuditOp, SpanRecorder)>,
-}
-
-impl SpanSheet {
-    /// An empty sheet.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one site's recorder, keeping sections in canonical order
-    /// regardless of insertion order.
-    pub fn push_section(&mut self, op: AuditOp, recorder: SpanRecorder) {
-        self.sections.push((op, recorder));
-        self.sections.sort_by_key(|(op, _)| *op);
-    }
-
-    /// The sections in canonical order.
-    pub fn sections(&self) -> impl Iterator<Item = (AuditOp, &SpanRecorder)> {
-        self.sections.iter().map(|(op, r)| (*op, r))
-    }
-
-    /// Every span with its originating site, section by section.
-    pub fn records(&self) -> impl Iterator<Item = (AuditOp, &SpanRecord)> {
-        self.sections.iter().flat_map(|(op, r)| r.records().map(move |rec| (*op, rec)))
-    }
-
-    /// Total spans held across all sections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sections.iter().map(|(_, r)| r.len()).sum()
-    }
-
-    /// Whether no section holds any span.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total spans evicted across all sections.
-    #[must_use]
-    pub fn evicted(&self) -> u64 {
-        self.sections.iter().map(|(_, r)| r.evicted()).sum()
-    }
-
-    /// The deterministic encoding of the whole sheet.
-    #[must_use]
-    pub fn encode_to_vec(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(self.sections.len() as u32).to_be_bytes());
-        for (op, rec) in &self.sections {
-            op.encode(&mut buf);
-            rec.encode(&mut buf);
-        }
-        buf
-    }
-
+impl Sheet<SpanRecord> {
     /// Appends this sheet's spans as Chrome trace-event objects to
     /// `events`, one JSON object per span, under process id `pid`
     /// (callers merging several pipelines — e.g. one per tenant — give
@@ -915,50 +796,25 @@ impl SpanSheet {
     }
 }
 
-/// A telemetry plane assembled from per-operator recorder sections:
-/// [`AuditTrail`] (of [`FlightRecorder`]s) or [`SpanSheet`] (of
-/// [`SpanRecorder`]s). Exists so [`merge_recorders`] can serve both
-/// planes with one implementation of the section-ordering rules.
-pub trait RecorderPlane: Default {
-    /// The per-operator recorder this plane collects.
-    type Recorder;
-    /// Adds one section, keeping sections in canonical [`AuditOp`] order.
-    fn add_section(&mut self, op: AuditOp, rec: Self::Recorder);
-}
-
-impl RecorderPlane for AuditTrail {
-    type Recorder = FlightRecorder;
-    fn add_section(&mut self, op: AuditOp, rec: FlightRecorder) {
-        self.push_section(op, rec);
-    }
-}
-
-impl RecorderPlane for SpanSheet {
-    type Recorder = SpanRecorder;
-    fn add_section(&mut self, op: AuditOp, rec: SpanRecorder) {
-        self.push_section(op, rec);
-    }
-}
-
-/// Merges per-operator recorder sections — gathered from a sequential
-/// executor, pipeline-parallel worker threads, or shard replicas — into
-/// one canonically ordered plane. `None` sections (recorder disabled at
-/// that operator) are omitted, *not* added empty, which is what keeps a
-/// run with telemetry armed encoding identically however it executed.
+/// Merges per-stage rings — gathered from a sequential executor or
+/// shard replicas — into one canonically ordered sheet. `None` sections
+/// (recorder disabled at that stage) are omitted, *not* added empty,
+/// which is what keeps a run with telemetry armed encoding identically
+/// however it executed.
 ///
 /// Every assembly path in the engine funnels through this function so
 /// the omit-disabled rule and the canonical section order live in
 /// exactly one place.
-pub fn merge_recorders<P: RecorderPlane>(
-    sections: impl IntoIterator<Item = (AuditOp, Option<P::Recorder>)>,
-) -> P {
-    let mut plane = P::default();
-    for (op, rec) in sections {
-        if let Some(rec) = rec {
-            plane.add_section(op, rec);
+pub fn merge_recorders<R: Record>(
+    sections: impl IntoIterator<Item = (AuditOp, Option<Ring<R>>)>,
+) -> Sheet<R> {
+    let mut sheet = Sheet::new();
+    for (op, ring) in sections {
+        if let Some(ring) = ring {
+            sheet.push_section(op, ring);
         }
     }
-    plane
+    sheet
 }
 
 /// Enforcement-lag tracking for one Security Shield — the paper's
@@ -978,7 +834,7 @@ pub fn merge_recorders<P: RecorderPlane>(
 ///   first tuple was suppressed under the new policy — the width of the
 ///   "security hole" a revocation leaves open.
 ///
-/// All inputs are stream timestamps, so sequential, parallel, and
+/// All inputs are stream timestamps, so sequential, sharded, and
 /// replayed runs produce identical histograms. Like the recorders, lag
 /// state is *not* checkpointed: it clears on restore and deterministic
 /// replay repopulates it.
@@ -1472,6 +1328,73 @@ impl MetricsRegistry {
     }
 }
 
+/// Adds the series every executor exposes, whatever runs the plan: the
+/// five per-operator counters (`counters` yields each node's name and
+/// its `[tuples_in, tuples_out, sps_in, sps_out, tuples_shielded]`), the
+/// fail-closed degradation counters, and audit/span recorder pressure.
+pub(crate) fn add_plan_metrics<'a>(
+    reg: &mut MetricsRegistry,
+    counters: impl IntoIterator<Item = (usize, &'a str, [u64; 5])>,
+    degradation: &DegradationStats,
+    trail: &AuditTrail,
+    sheet: &SpanSheet,
+) {
+    const OPERATOR_COUNTERS: [(&str, &str); 5] = [
+        ("sp_tuples_in_total", "Tuples entering an operator"),
+        ("sp_tuples_out_total", "Tuples emitted by an operator"),
+        ("sp_sps_in_total", "Security punctuations entering an operator"),
+        ("sp_sps_out_total", "Security punctuations emitted by an operator"),
+        ("sp_tuples_shielded_total", "Tuples suppressed by the Security Shield"),
+    ];
+    for (i, name, values) in counters {
+        let labels = operator_labels(name, i);
+        for ((family, help), value) in OPERATOR_COUNTERS.iter().zip(values) {
+            reg.add_counter(family, help, &labels, value);
+        }
+    }
+    for (kind, value) in degradation.named_counters() {
+        reg.add_counter(
+            "sp_degradation_total",
+            "Fail-closed degradation counters (kind label selects the counter)",
+            &format!("kind=\"{kind}\""),
+            value,
+        );
+    }
+    if trail.sections().next().is_some() {
+        reg.add_counter(
+            "sp_audit_records",
+            "Audit records currently held by flight recorders",
+            "",
+            trail.len() as u64,
+        );
+        reg.add_counter(
+            "sp_audit_evicted_total",
+            "Audit records evicted from bounded flight recorders",
+            "",
+            trail.evicted(),
+        );
+    }
+    if !sheet.is_empty() || sheet.evicted() > 0 {
+        reg.add_counter(
+            "sp_span_records",
+            "sp-trace spans currently held by span recorders",
+            "",
+            sheet.len() as u64,
+        );
+        reg.add_counter(
+            "sp_spans_evicted_total",
+            "sp-trace spans evicted from bounded span recorders",
+            "",
+            sheet.evicted(),
+        );
+    }
+}
+
+/// The label set of node `i`'s per-operator series.
+pub(crate) fn operator_labels(name: &str, i: usize) -> String {
+    format!("op=\"{name}\",node=\"{i}\"")
+}
+
 /// What telemetry an executor collects. Every knob defaults to off, so
 /// an unconfigured plan pays nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1479,8 +1402,7 @@ pub struct TelemetryConfig {
     /// Flight-recorder ring capacity per operator (0 = no audit trail).
     pub audit_capacity: usize,
     /// Span-recorder ring capacity per operator (0 = no causal spans or
-    /// enforcement-lag histograms). Capacity builds the rings; the
-    /// runtime toggle [`span::set_enabled`] silences/re-arms them live.
+    /// enforcement-lag histograms).
     pub span_capacity: usize,
     /// Whether the executor samples latency/queue-depth histograms.
     pub metrics: bool,
@@ -1511,116 +1433,6 @@ impl TelemetryConfig {
     }
 }
 
-/// Span collection state and the begin/end marker facade.
-///
-/// Two layers live here:
-///
-/// * **The sp-trace runtime toggle** — [`span::enabled`] /
-///   [`span::set_enabled`], a process-wide atomic consulted by every
-///   [`SpanRecorder::record`]. Tracing is *on* by default (the recorders
-///   still cost nothing unless a plan allocates them via
-///   [`TelemetryConfig::span_capacity`]); the `trace-off` cargo feature
-///   is the compile-time hard-off override that folds the whole check to
-///   `false`, restoring the old fully-compiled-away behavior.
-/// * **The marker facade** — [`span::span`] returns a zero-sized guard
-///   unless the `trace` cargo feature is on, in which case spans append
-///   `(name, Enter|Exit)` events to a thread-local buffer drained by
-///   [`span::take_events`]. There is no vendored `tracing` crate, and
-///   new dependencies are out of bounds, so this in-crate facade is the
-///   whole integration surface.
-pub mod span {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    /// Process-wide runtime toggle for sp-trace span recording.
-    static RUNTIME: AtomicBool = AtomicBool::new(true);
-
-    /// Whether span recording is on right now: the `trace-off` feature
-    /// is a hard compile-time off; otherwise the runtime toggle decides.
-    #[inline]
-    #[must_use]
-    pub fn enabled() -> bool {
-        !cfg!(feature = "trace-off") && RUNTIME.load(Ordering::Relaxed)
-    }
-
-    /// Flips the runtime toggle. A no-op in effect when the `trace-off`
-    /// feature is compiled in ([`enabled`] stays `false`).
-    pub fn set_enabled(on: bool) {
-        RUNTIME.store(on, Ordering::Relaxed);
-    }
-
-    /// Span lifecycle edge.
-    #[cfg(feature = "trace")]
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum SpanEdge {
-        /// The span was opened.
-        Enter,
-        /// The span guard dropped.
-        Exit,
-    }
-
-    /// One collected span event.
-    #[cfg(feature = "trace")]
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SpanEvent {
-        /// Static span name, e.g. `executor.push`.
-        pub name: &'static str,
-        /// Enter or exit.
-        pub edge: SpanEdge,
-    }
-
-    #[cfg(feature = "trace")]
-    thread_local! {
-        static EVENTS: std::cell::RefCell<Vec<SpanEvent>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-
-    #[cfg(feature = "trace")]
-    fn push(name: &'static str, edge: SpanEdge) {
-        EVENTS.with(|e| {
-            if let Ok(mut v) = e.try_borrow_mut() {
-                v.push(SpanEvent { name, edge });
-            }
-        });
-    }
-
-    /// Drains this thread's collected span events.
-    #[cfg(feature = "trace")]
-    #[must_use]
-    pub fn take_events() -> Vec<SpanEvent> {
-        EVENTS.with(|e| e.try_borrow_mut().map(|mut v| std::mem::take(&mut *v)).unwrap_or_default())
-    }
-
-    /// RAII guard closing the span on drop. Zero-sized when the `trace`
-    /// feature is off.
-    #[must_use = "a span closes when its guard drops"]
-    pub struct SpanGuard {
-        #[cfg(feature = "trace")]
-        name: &'static str,
-    }
-
-    #[cfg(feature = "trace")]
-    impl Drop for SpanGuard {
-        fn drop(&mut self) {
-            push(self.name, SpanEdge::Exit);
-        }
-    }
-
-    /// Opens a span around the enclosing scope.
-    #[inline(always)]
-    pub fn span(name: &'static str) -> SpanGuard {
-        #[cfg(feature = "trace")]
-        {
-            push(name, SpanEdge::Enter);
-            SpanGuard { name }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = name;
-            SpanGuard {}
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -1629,8 +1441,8 @@ mod tests {
 
     #[test]
     fn disabled_recorder_never_stores() {
-        let mut r = FlightRecorder::disabled();
-        r.record(1, 2, AuditEvent::QuarantineReleased);
+        let mut r = FlightRecorder::default();
+        r.record(AuditRecord::new(1, 2, AuditEvent::QuarantineReleased));
         assert!(!r.enabled());
         assert!(r.is_empty());
         assert_eq!(r.evicted(), 0);
@@ -1640,7 +1452,7 @@ mod tests {
     fn ring_evicts_oldest() {
         let mut r = FlightRecorder::new(2);
         for tid in 0..5u64 {
-            r.record(tid, tid * 10, AuditEvent::Shed { level: 1 });
+            r.record(AuditRecord::new(tid, tid * 10, AuditEvent::Shed { level: 1 }));
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.evicted(), 3);
@@ -1665,7 +1477,7 @@ mod tests {
         let mut t1 = AuditTrail::new();
         let mut t2 = AuditTrail::new();
         let mut rec = FlightRecorder::new(4);
-        rec.record(1, 1, AuditEvent::StaleSpDiscarded);
+        rec.record(AuditRecord::new(1, 1, AuditEvent::StaleSpDiscarded));
         for op in [AuditOp::Node(1), AuditOp::Source(0), AuditOp::Node(0)] {
             t1.push_section(op, rec.clone());
         }
@@ -1783,27 +1595,16 @@ mod tests {
         let mut catalog = RoleCatalog::new();
         let nurse = catalog.register_role("Nurse").unwrap();
         let mut rec = FlightRecorder::new(8);
-        rec.record(42, 1300, AuditEvent::Released { role: nurse.raw(), sp_ts: 700 });
+        rec.record(AuditRecord::new(
+            42,
+            1300,
+            AuditEvent::Released { role: nurse.raw(), sp_ts: 700 },
+        ));
         let mut trail = AuditTrail::new();
         trail.push_section(AuditOp::Node(2), rec);
         let text = trail.render(Some(&catalog));
         assert!(text.contains("tuple 42 released to role Nurse via DDP @700ms"), "{text}");
     }
-
-    #[test]
-    fn span_facade_compiles_both_ways() {
-        {
-            let _g = span::span("test.scope");
-        }
-        #[cfg(feature = "trace")]
-        {
-            let events = span::take_events();
-            assert!(events.iter().any(|e| e.name == "test.scope"));
-        }
-    }
-
-    /// Serializes tests that flip the process-wide span toggle.
-    static TOGGLE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn sp_span(ts: u64) -> SpanRecord {
         SpanRecord::at(
@@ -1816,17 +1617,12 @@ mod tests {
     }
 
     #[test]
-    fn span_recorder_honors_capacity_and_runtime_toggle() {
-        let _guard = TOGGLE.lock().unwrap();
-        let mut off = SpanRecorder::disabled();
+    fn span_recorder_honors_capacity() {
+        let mut off = SpanRecorder::default();
         off.record(sp_span(1));
         assert!(off.is_empty());
 
         let mut r = SpanRecorder::new(2);
-        span::set_enabled(false);
-        r.record(sp_span(1));
-        assert!(r.is_empty(), "runtime-off must drop spans");
-        span::set_enabled(true);
         for ts in 0..5u64 {
             r.record(sp_span(ts));
         }
@@ -1836,8 +1632,6 @@ mod tests {
 
     #[test]
     fn span_sheet_sections_are_canonically_ordered() {
-        let _guard = TOGGLE.lock().unwrap();
-        span::set_enabled(true);
         let mut rec = SpanRecorder::new(4);
         rec.record(sp_span(1000));
         let (mut a, mut b) = (SpanSheet::new(), SpanSheet::new());
@@ -1869,8 +1663,6 @@ mod tests {
 
     #[test]
     fn chrome_json_and_tree_link_the_causal_chain() {
-        let _guard = TOGGLE.lock().unwrap();
-        span::set_enabled(true);
         let sp_ts = 1000u64;
         let trace = sp_core::trace::trace_id_for_sp(sp_ts);
         let mut ingress = SpanRecorder::new(8);
@@ -1961,5 +1753,97 @@ mod tests {
         let cfg = TelemetryConfig { audit_capacity: 0, span_capacity: 16, metrics: false };
         assert!(cfg.is_enabled());
         assert_eq!(TelemetryConfig::enabled().span_capacity, DEFAULT_SPAN_CAPACITY);
+    }
+
+    #[test]
+    fn take_since_returns_new_records_and_refuses_gaps() {
+        let mut r = FlightRecorder::new(3);
+        let mut cursor = 0;
+        for tid in 0..2u64 {
+            r.record(AuditRecord::new(tid, tid, AuditEvent::StaleSpDiscarded));
+        }
+        let tids = |v: Vec<AuditRecord>| v.iter().map(|rec| rec.tid).collect::<Vec<_>>();
+        assert_eq!(tids(r.take_since(&mut cursor).unwrap()), vec![0, 1]);
+        assert!(r.take_since(&mut cursor).unwrap().is_empty());
+        // Two more records evict tuple 0, which was already taken.
+        for tid in 2..4u64 {
+            r.record(AuditRecord::new(tid, tid, AuditEvent::StaleSpDiscarded));
+        }
+        assert_eq!(tids(r.take_since(&mut cursor).unwrap()), vec![2, 3]);
+        // Four more evict tuple 4 before anyone took it: a gap.
+        for tid in 4..8u64 {
+            r.record(AuditRecord::new(tid, tid, AuditEvent::StaleSpDiscarded));
+        }
+        assert!(r.take_since(&mut cursor).is_none());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Pins the audit-trail and span-sheet encodings byte for byte, so a
+    /// change to either is a visible, deliberate act.
+    #[test]
+    fn trail_and_sheet_encodings_are_pinned() {
+        use sp_core::trace::{site, span_id, trace_id_for_sp};
+
+        let mut node = FlightRecorder::new(8);
+        node.record(AuditRecord::new(42, 1300, AuditEvent::Released { role: 3, sp_ts: 700 }));
+        node.record(AuditRecord::new(43, 1310, AuditEvent::Suppressed { sp_ts: NO_SP }));
+        node.record(AuditRecord::new(
+            NO_TUPLE,
+            1320,
+            AuditEvent::LadderTransition { from: 0, to: 2 },
+        ));
+        let mut source = FlightRecorder::new(2);
+        source.record(AuditRecord::new(
+            1,
+            10,
+            AuditEvent::Quarantined { reason: QuarantineReason::Uncovered },
+        ));
+        source.record(AuditRecord::new(
+            2,
+            20,
+            AuditEvent::QuarantineDropped { reason: QuarantineReason::SlackExpired },
+        ));
+        source.record(AuditRecord::new(
+            3,
+            30,
+            AuditEvent::CipherSuppressed { reason: CipherViolation::NonceReused },
+        ));
+        let mut supervisor = FlightRecorder::new(4);
+        supervisor.record(AuditRecord::new(NO_TUPLE, 99, AuditEvent::Restored { epoch: 5 }));
+        let mut trail = AuditTrail::new();
+        trail.push_section(AuditOp::Node(2), node);
+        trail.push_section(AuditOp::Source(0), source);
+        trail.push_section(AuditOp::Supervisor, supervisor);
+        let trail_hex = concat!(
+            "0000000300000000000000000000000001000000020000000000000002000000",
+            "000000001405010000000000000003000000000000001e0b0301000000020000",
+            "00000000000000000003000000000000002a0000000000000514000000000300",
+            "000000000002bc000000000000002b000000000000051e01ffffffffffffffff",
+            "ffffffffffffffff000000000000052807000202000000000000000000000001",
+            "ffffffffffffffff0000000000000063080000000000000005",
+        );
+        assert_eq!(hex(&trail.encode_to_vec()), trail_hex);
+
+        let trace = trace_id_for_sp(1000);
+        let mut ingress = SpanRecorder::new(4);
+        ingress.record(SpanRecord::at(trace, site::WIRE_FRAME, 77, NO_TUPLE, 1000));
+        let mut shield = SpanRecorder::new(1);
+        let enforce_parent = span_id(trace, site::ANALYZE);
+        shield.record(SpanRecord::at(trace, site::SHIELD_ENFORCE, enforce_parent, 5, 1005));
+        let release_parent = span_id(trace, site::SHIELD_ENFORCE);
+        shield.record(SpanRecord::at(trace, site::RELEASE, release_parent, 5, 1005));
+        let mut sheet = SpanSheet::new();
+        sheet.push_section(AuditOp::Node(1), shield);
+        sheet.push_section(AuditOp::Ingress, ingress);
+        let sheet_hex = concat!(
+            "0000000203000000000000000000000001e3c27262474e26355a30c7b423c354",
+            "cf000000000000004d00ffffffffffffffff00000000000003e8010000000100",
+            "0000000000000100000001e3c27262474e2635cd301a0d4583a8de96d9128e07",
+            "39e86903000000000000000500000000000003ed",
+        );
+        assert_eq!(hex(&sheet.encode_to_vec()), sheet_hex);
     }
 }

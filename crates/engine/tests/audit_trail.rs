@@ -10,9 +10,10 @@
 //!    that was actually pushed;
 //! 2. **degradation correspondence** — quarantine and ladder audit events
 //!    agree with the engine's fail-closed degradation counters;
-//! 3. **determinism** — a sequential run and a pipeline-parallel
-//!    checkpointed run of the same plan produce byte-identical audit
-//!    trails.
+//! 3. **determinism** — a sequential run and a width-2 sharded run of
+//!    the same plan produce byte-identical audit trails and span sheets,
+//!    and an executor restored from a mid-run checkpoint records exactly
+//!    what the uncut run recorded after the cut.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -24,9 +25,9 @@ use sp_core::{
     Tuple, TupleId, Value, ValueType,
 };
 use sp_engine::{
-    run_parallel, run_parallel_checkpointed, AuditEvent, AuditOp, CheckpointStore, CmpOp, Expr,
-    MemStore, NodeRef, PlanBuilder, QuarantinePolicy, SecurityShield, Select, ShedPolicy, Shedder,
-    ShedderConfig, SinkRef, TelemetryConfig,
+    AuditEvent, AuditOp, CmpOp, Executor, Expr, NodeRef, PlanBuilder, QuarantinePolicy, Record,
+    Ring, SecurityShield, Select, ShardedExecutor, ShedPolicy, Shedder, ShedderConfig, Sheet,
+    SinkRef, TelemetryConfig,
 };
 
 const SEGMENT_MS: u64 = 1_000;
@@ -34,6 +35,9 @@ const TUPLES_PER_SEGMENT: u64 = 20;
 const SEGMENTS: u64 = 16;
 /// Large enough that nothing scrolls off mid-test.
 const AUDIT_CAP: usize = 1 << 16;
+/// Input position of the checkpoint in the cut-and-restore legs
+/// (mid-segment, so the cut splits a governed run).
+const CUT: usize = 150;
 
 fn schema() -> Arc<Schema> {
     Schema::of("loc", &[("id", ValueType::Int), ("v", ValueType::Int)])
@@ -213,45 +217,113 @@ fn quarantine_and_ladder_events_match_degradation_counters() {
     }
 }
 
+/// A shard-safe variant of the audited plan for the sharded legs:
+/// hardened source -> eager select -> shield(`role`) -> sink. A load
+/// shedder keeps whole-stream queue state, so it cannot be partitioned
+/// and is left out.
+fn shardable_builder(role: u32, span_capacity: usize) -> PlanBuilder {
+    let mut b = PlanBuilder::new(catalog());
+    let src = b.source(StreamId(1), schema());
+    b.harden_source(src, QuarantinePolicy { ttl_ms: 500, slack_ms: 400, capacity: 64 });
+    let sel =
+        b.add(Select::eager(Expr::cmp(CmpOp::Ge, Expr::Attr(1), Expr::Const(Value::Int(0)))), src);
+    let ss = b.add(SecurityShield::new(RoleSet::from([role])), sel);
+    let _sink = b.sink(ss);
+    b.enable_telemetry(TelemetryConfig {
+        audit_capacity: AUDIT_CAP,
+        span_capacity,
+        metrics: false,
+    });
+    b
+}
+
+/// Runs `make`'s plan over `input` sequentially and on two shards;
+/// returns both runs' `plane`.
+fn sequential_and_sharded<R: Record>(
+    make: impl Fn() -> PlanBuilder,
+    input: &[(StreamId, StreamElement)],
+    plane: impl Fn(&Executor) -> Sheet<R>,
+    sharded_plane: impl Fn(&mut ShardedExecutor) -> Sheet<R>,
+) -> (Sheet<R>, Sheet<R>) {
+    let mut exec = make().build();
+    exec.push_all(input.iter().cloned()).unwrap();
+    exec.finish().unwrap();
+    let mut sharded = ShardedExecutor::new(&make, 2).unwrap();
+    sharded.push_all(input.iter().cloned()).unwrap();
+    sharded.finish().unwrap();
+    (plane(&exec), sharded_plane(&mut sharded))
+}
+
+/// Cut-and-restore leg: runs `make`'s plan over `input` with a
+/// checkpoint cut after [`CUT`] elements, then restores a fresh executor
+/// from the cut and replays the rest. Restore clears the rings, so the
+/// replay must record exactly what the uncut run recorded after the
+/// cut, section by section.
+fn assert_restore_replays_suffix<R: Record>(
+    make: impl Fn() -> PlanBuilder,
+    input: &[(StreamId, StreamElement)],
+    plane: impl Fn(&Executor) -> Sheet<R>,
+) {
+    let (prefix, suffix) = input.split_at(CUT);
+    let mut uncut = make().build();
+    uncut.push_all(prefix.iter().cloned()).unwrap();
+    let ckpt = uncut.checkpoint(1, CUT as u64);
+    let at_cut = plane(&uncut);
+    uncut.push_all(suffix.iter().cloned()).unwrap();
+    uncut.finish().unwrap();
+    let full = plane(&uncut);
+    assert_eq!(full.evicted(), 0, "capacity must hold the whole run for this comparison");
+
+    let mut expected = Sheet::new();
+    for (op, ring) in full.sections() {
+        let before = at_cut.sections().find(|(o, _)| *o == op).map_or(0, |(_, r)| r.len());
+        let mut after = Ring::new(AUDIT_CAP);
+        for rec in ring.records().skip(before) {
+            after.record(*rec);
+        }
+        expected.push_section(op, after);
+    }
+    assert!(!expected.is_empty(), "the replayed half must record something");
+
+    let mut restored = make().build();
+    restored.restore(&ckpt).unwrap();
+    restored.push_all(suffix.iter().cloned()).unwrap();
+    restored.finish().unwrap();
+    assert_eq!(
+        plane(&restored).encode_to_vec(),
+        expected.encode_to_vec(),
+        "restored replay diverged from the uncut run's post-cut records"
+    );
+}
+
 #[test]
-fn sequential_and_parallel_audit_trails_encode_identically() {
+fn sequential_sharded_and_restored_audit_trails_encode_identically() {
     let input = workload(&[5]);
 
-    // Sequential reference. No `finish()`: the parallel runner feeds and
-    // closes without flushing trailing analyzer batches, and the audit
-    // comparison needs both sides to see the same element sequence.
-    let (b, _, _) = audited_builder(8);
-    let mut exec = b.build();
-    exec.push_all(input.clone()).unwrap();
-    let sequential = exec.audit_trail().encode_to_vec();
+    // Width-2 sharded run: the exchange merge must re-record the shard
+    // replicas' decisions in input order.
+    let (sequential, sharded) = sequential_and_sharded(
+        || shardable_builder(1, 0),
+        &input,
+        Executor::audit_trail,
+        ShardedExecutor::audit_trail,
+    );
     assert!(!sequential.is_empty());
-
-    // Plain parallel run.
-    let (b, _, _) = audited_builder(8);
-    let results = run_parallel(b, input.clone()).unwrap();
     assert_eq!(
-        results.audit_trail().encode_to_vec(),
-        sequential,
-        "parallel audit trail diverged from sequential"
+        sharded.encode_to_vec(),
+        sequential.encode_to_vec(),
+        "sharded audit trail diverged from sequential"
     );
 
-    // Parallel run with epoch checkpointing interleaved: barriers must
-    // not perturb the audit stream.
-    let (b, _, _) = audited_builder(8);
-    let mut store = MemStore::default();
-    let results = run_parallel_checkpointed(b, input, 64, &mut store).unwrap();
-    assert!(store.count() > 0);
-    assert_eq!(
-        results.audit_trail().encode_to_vec(),
-        sequential,
-        "checkpointed parallel audit trail diverged from sequential"
-    );
+    // Cut and restore: the checkpoint must not perturb the audit stream
+    // of the replayed half, shed and ladder decisions included.
+    assert_restore_replays_suffix(|| audited_builder(8).0, &input, Executor::audit_trail);
 }
 
 /// Same shape as [`audited_builder`] but with the span recorders armed
 /// and a shield requiring role 0 — which the workload grants only in
 /// every third segment — so the trace carries both release *and*
-/// suppress spans for the three execution modes to agree on.
+/// suppress spans for the execution modes to agree on.
 fn span_builder(shed_capacity: u64) -> PlanBuilder {
     let mut b = PlanBuilder::new(catalog());
     let src = b.source(StreamId(1), schema());
@@ -278,17 +350,15 @@ fn span_builder(shed_capacity: u64) -> PlanBuilder {
 }
 
 #[test]
-fn sequential_and_parallel_span_sheets_encode_identically() {
+fn sequential_sharded_and_restored_span_sheets_encode_identically() {
     let input = workload(&[5]);
 
-    // Sequential reference (no `finish()`, for the same reason as the
-    // audit-trail equality test above). A roomy shedder keeps the whole
-    // workload flowing so every segment reaches the shield.
+    // Sequential reference. A roomy shedder keeps the whole workload
+    // flowing so every segment reaches the shield.
     const SHED: u64 = 1 << 16;
     let mut exec = span_builder(SHED).build();
     exec.push_all(input.clone()).unwrap();
     let sheet = exec.span_sheet();
-    let sequential = sheet.encode_to_vec();
     assert!(!sheet.is_empty(), "armed span recorders must capture the run");
     assert_eq!(sheet.evicted(), 0, "capacity must hold the whole run for this comparison");
 
@@ -307,25 +377,24 @@ fn sequential_and_parallel_span_sheets_encode_identically() {
         }
     }
 
-    // Plain parallel run: per-operator threads must record the same
-    // spans in the same canonical order.
-    let results = run_parallel(span_builder(SHED), input.clone()).unwrap();
+    // Width-2 sharded run: shard replicas' spans, re-recorded through the
+    // exchange merge, must land in the same canonical order.
+    let (sequential, sharded) = sequential_and_sharded(
+        || shardable_builder(0, AUDIT_CAP),
+        &input,
+        Executor::span_sheet,
+        ShardedExecutor::span_sheet,
+    );
+    assert!(!sequential.is_empty());
     assert_eq!(
-        results.span_sheet().encode_to_vec(),
-        sequential,
-        "parallel span sheet diverged from sequential"
+        sharded.encode_to_vec(),
+        sequential.encode_to_vec(),
+        "sharded span sheet diverged from sequential"
     );
 
-    // Parallel run with epoch checkpoints interleaved: barriers must not
-    // perturb the trace either.
-    let mut store = MemStore::default();
-    let results = run_parallel_checkpointed(span_builder(SHED), input, 64, &mut store).unwrap();
-    assert!(store.count() > 0);
-    assert_eq!(
-        results.span_sheet().encode_to_vec(),
-        sequential,
-        "checkpointed parallel span sheet diverged from sequential"
-    );
+    // Cut and restore: the checkpoint must not perturb the trace of the
+    // replayed half either.
+    assert_restore_replays_suffix(|| span_builder(SHED), &input, Executor::span_sheet);
 }
 
 #[test]

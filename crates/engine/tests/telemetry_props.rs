@@ -1,17 +1,18 @@
 //! Property tests for the telemetry layer's mergeable state.
 //!
-//! Parallel runs merge per-worker statistics in whatever order workers
-//! finish, so every merge operation the telemetry layer exposes must be
-//! **associative and order-insensitive**: histograms, operator counters,
-//! degradation stats, and the metrics registry itself. The flight
-//! recorder's encoding must be a pure function of the recorded sequence.
+//! Statistics gathered in pieces (per shard, per tenant, per process)
+//! merge in whatever order the pieces arrive, so every merge operation
+//! the telemetry layer exposes must be **associative and
+//! order-insensitive**: histograms, operator counters, degradation stats,
+//! and the metrics registry itself. The flight recorder's encoding must
+//! be a pure function of the recorded sequence.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
 use sp_engine::{
-    AuditEvent, CostKind, DegradationStats, FlightRecorder, Histogram, MetricsRegistry,
-    OperatorStats,
+    AuditEvent, AuditRecord, CostKind, DegradationStats, FlightRecorder, Histogram,
+    MetricsRegistry, OperatorStats,
 };
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -186,8 +187,8 @@ proptest! {
         let mut r1 = FlightRecorder::new(capacity);
         let mut r2 = FlightRecorder::new(capacity);
         for &(tid, ts, role, sp_ts) in &events {
-            r1.record(tid, ts, AuditEvent::Released { role, sp_ts });
-            r2.record(tid, ts, AuditEvent::Released { role, sp_ts });
+            r1.record(AuditRecord::new(tid, ts, AuditEvent::Released { role, sp_ts }));
+            r2.record(AuditRecord::new(tid, ts, AuditEvent::Released { role, sp_ts }));
         }
         let mut b1 = Vec::new();
         let mut b2 = Vec::new();

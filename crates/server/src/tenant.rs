@@ -19,8 +19,8 @@ use sp_core::trace::{site, trace_id_for_sp, trace_id_for_tuple};
 use sp_core::{QuarantineCode, StreamElement, StreamId, TraceContext};
 use sp_engine::telemetry::NO_TUPLE;
 use sp_engine::{
-    AuditEvent, AuditOp, AuditTrail, CheckpointStore, EngineError, FlightRecorder, MemStore,
-    MetricsRegistry, SpanRecord, SpanRecorder, SpanSheet,
+    AuditEvent, AuditOp, AuditRecord, AuditTrail, CheckpointStore, EngineError, FlightRecorder,
+    MemStore, MetricsRegistry, SpanRecord, SpanRecorder, SpanSheet,
 };
 use sp_query::{Dsms, RunningDsms};
 
@@ -235,11 +235,11 @@ impl Worker {
             // audits a terminal fail-closed state.
             let refused = elements.len() as u64;
             self.fenced_refused += refused;
-            self.fence_audit.record(
+            self.fence_audit.record(AuditRecord::new(
                 NO_TUPLE,
                 self.pos.load(Ordering::SeqCst),
                 AuditEvent::RecoveryFailClosed { refused },
-            );
+            ));
             return FrameOutcome::Fenced {
                 fencing_epoch: self.repl.fencing_epoch.load(Ordering::SeqCst),
             };

@@ -11,8 +11,8 @@
 //! * [`sp_core`] — tuples, role bitmaps, policies, punctuations, wire
 //!   framing;
 //! * [`sp_engine`] — the pipelined security-aware stream engine (Security
-//!   Shield, SAJoin with SPIndex, δ, group-by, set operations, parallel
-//!   runner, reorder buffer);
+//!   Shield, SAJoin with SPIndex, δ, group-by, set operations, sharded
+//!   executor, reorder buffer);
 //! * [`sp_query`] — CQL + `INSERT SP`, plans, Table II rewrite rules,
 //!   the §VI-A cost model and the optimizer;
 //! * [`sp_baselines`] — the store-and-probe and tuple-embedded
