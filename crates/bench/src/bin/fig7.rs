@@ -136,7 +136,7 @@ fn batch_report() {
             Select::new(Expr::cmp(CmpOp::Ge, Expr::Attr(0), Expr::Const(sp_core::Value::Int(0)))),
             src,
         );
-        let ss = b.add(SecurityShield::new(RoleSet::from([0])).without_timing(), sel);
+        let ss = b.add(SecurityShield::new(RoleSet::from([0])), sel);
         let sink = b.sink(ss);
         (b, sink)
     };
@@ -258,7 +258,7 @@ fn shard_report() {
             Select::eager(Expr::cmp(CmpOp::Ge, Expr::Attr(0), Expr::Const(sp_core::Value::Int(0)))),
             src,
         );
-        let ss = b.add(SecurityShield::new(RoleSet::from([0])).without_timing(), sel);
+        let ss = b.add(SecurityShield::new(RoleSet::from([0])), sel);
         let sink = b.sink(ss);
         b.enable_telemetry(TelemetryConfig::enabled());
         (b, sink)

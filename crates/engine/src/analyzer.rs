@@ -153,12 +153,6 @@ impl SpAnalyzer {
         self.hardening = Some(policy);
     }
 
-    /// Whether hardened fail-closed mode is active.
-    #[must_use]
-    pub fn is_hardened(&self) -> bool {
-        self.hardening.is_some()
-    }
-
     /// Fail-closed degradation counters accumulated by this stream.
     #[must_use]
     pub fn degradation(&self) -> DegradationStats {

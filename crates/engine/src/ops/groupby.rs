@@ -17,7 +17,7 @@ use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
-use crate::stats::{CostKind, OperatorStats};
+use crate::stats::OperatorStats;
 use crate::window::WindowSpec;
 
 /// Supported aggregate functions.
@@ -260,16 +260,13 @@ impl Operator for GroupBy {
         }
         match elem {
             Element::Policy(seg) => {
-                let start = std::time::Instant::now();
                 self.stats.sps_in += 1;
                 let newer = self.current.as_ref().is_none_or(|c| seg.ts >= c.ts);
                 if newer {
                     self.current = Some(seg);
                 }
-                self.stats.charge(CostKind::Sp, start.elapsed());
             }
             Element::Tuple(tuple) => {
-                let start = std::time::Instant::now();
                 self.stats.tuples_in += 1;
                 self.expire(tuple.ts, out);
                 let policy: SharedPolicy = match &self.current {
@@ -295,7 +292,6 @@ impl Operator for GroupBy {
                 self.buffer.push_back((tuple, policy));
                 self.trim_rows(ts, out);
                 self.emit_asg(idx, ts, out);
-                self.stats.charge(CostKind::Tuple, start.elapsed());
             }
         }
         Ok(())

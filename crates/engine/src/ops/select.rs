@@ -20,7 +20,7 @@ use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::expr::Expr;
 use crate::operator::{Emitter, Operator};
-use crate::stats::{CostKind, OperatorStats};
+use crate::stats::OperatorStats;
 
 /// The selection operator.
 #[derive(Debug)]
@@ -105,22 +105,14 @@ impl Operator for Select {
             return Err(EngineError::BadPort { operator: "select".into(), port, arity: 1 });
         }
         match elem {
-            Element::Policy(seg) => {
-                let start = std::time::Instant::now();
-                self.absorb_policy(seg, out);
-                self.stats.charge(CostKind::Sp, start.elapsed());
-            }
-            Element::Tuple(tuple) => {
-                let start = std::time::Instant::now();
-                self.filter_tuple(tuple, out);
-                self.stats.charge(CostKind::Tuple, start.elapsed());
-            }
+            Element::Policy(seg) => self.absorb_policy(seg, out),
+            Element::Tuple(tuple) => self.filter_tuple(tuple, out),
         }
         Ok(())
     }
 
-    /// Vectorized fast path: a whole run is filtered in one tight loop
-    /// with a single clock pair, instead of two clock reads per element.
+    /// Vectorized fast path: a whole run is filtered in one tight loop.
+    /// The executor times the call; the selection reads no clock.
     fn process_batch(
         &mut self,
         port: usize,
@@ -130,15 +122,12 @@ impl Operator for Select {
         if port != 0 {
             return Err(EngineError::BadPort { operator: "select".into(), port, arity: 1 });
         }
-        let start = std::time::Instant::now();
-        let cost = if batch.is_control() { CostKind::Sp } else { CostKind::Tuple };
         for elem in batch {
             match elem {
                 Element::Tuple(tuple) => self.filter_tuple(tuple, out),
                 Element::Policy(seg) => self.absorb_policy(seg, out),
             }
         }
-        self.stats.charge(cost, start.elapsed());
         Ok(())
     }
 

@@ -69,7 +69,6 @@ impl Operator for Union {
         }
         match elem {
             Element::Policy(seg) => {
-                let start = std::time::Instant::now();
                 self.stats.sps_in += 1;
                 let newer = self.current[port].as_ref().is_none_or(|cur| seg.ts >= cur.ts);
                 if newer {
@@ -79,10 +78,8 @@ impl Operator for Union {
                     }
                     self.current[port] = Some(seg);
                 }
-                self.stats.charge(CostKind::Sp, start.elapsed());
             }
             Element::Tuple(tuple) => {
-                let start = std::time::Instant::now();
                 self.stats.tuples_in += 1;
                 let needs_announce = match (&self.announced, &self.current[port]) {
                     (Some((p, seg)), Some(cur)) => *p != port || !Arc::ptr_eq(seg, cur),
@@ -113,7 +110,6 @@ impl Operator for Union {
                 }
                 self.stats.tuples_out += 1;
                 out.push(Element::Tuple(tuple));
-                self.stats.charge(CostKind::Tuple, start.elapsed());
             }
         }
         Ok(())

@@ -23,7 +23,7 @@ use crate::checkpoint as ckpt;
 use crate::element::{Element, SegmentPolicy};
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
-use crate::stats::{CostKind, OperatorStats};
+use crate::stats::OperatorStats;
 use crate::telemetry::{
     AuditEvent, AuditRecord, FlightRecorder, LagTracker, SpanRecord, SpanRecorder, NO_SP, NO_TUPLE,
 };
@@ -74,10 +74,6 @@ pub struct SecurityShield {
     roles: RoleSet,
     granularity: Granularity,
     mode: MatchMode,
-    /// Per-element wall-clock accounting (two clock reads per element).
-    /// Needed by the operator-cost experiments; disable for fair
-    /// end-to-end throughput comparisons.
-    timed: bool,
     current: Option<Arc<SegmentPolicy>>,
     verdict: Verdict,
     /// Lazily emitted before the first passing tuple of the segment, so
@@ -114,7 +110,6 @@ impl SecurityShield {
             roles,
             granularity: Granularity::Tuple,
             mode: MatchMode::Bitmap,
-            timed: true,
             current: None,
             verdict: Verdict::Deny,
             pending_policy: None,
@@ -139,13 +134,6 @@ impl SecurityShield {
     #[must_use]
     pub fn with_mode(mut self, m: MatchMode) -> Self {
         self.mode = m;
-        self
-    }
-
-    /// Disables per-element wall-clock accounting (throughput runs).
-    #[must_use]
-    pub fn without_timing(mut self) -> Self {
-        self.timed = false;
         self
     }
 
@@ -459,32 +447,20 @@ impl Operator for SecurityShield {
             return Err(EngineError::BadPort { operator: "ss".into(), port, arity: 1 });
         }
         match elem {
-            Element::Policy(seg) => {
-                let start = self.timed.then(std::time::Instant::now);
-                self.absorb_policy(seg);
-                if let Some(start) = start {
-                    self.stats.charge(CostKind::Sp, start.elapsed());
-                }
-            }
-            Element::Tuple(tuple) => {
-                let start = self.timed.then(std::time::Instant::now);
-                self.shield_tuple(tuple, out);
-                if let Some(start) = start {
-                    self.stats.charge(CostKind::Tuple, start.elapsed());
-                }
-            }
+            Element::Policy(seg) => self.absorb_policy(seg),
+            Element::Tuple(tuple) => self.shield_tuple(tuple, out),
         }
         Ok(())
     }
 
     /// Vectorized fast path: a tuple-only run is judged under one cached
     /// verdict — the whole run is released (uniform pass, tuple
-    /// granularity) or suppressed (deny/fail) with O(1) counter updates
-    /// and one clock pair for the entire batch. Attribute-masked and
-    /// scoped (per-tuple) segments, and any batch containing policies,
-    /// fall back to the per-element cores, so outputs, counters, audit
-    /// records, and snapshots are identical to element-at-a-time
-    /// processing for every batch shape.
+    /// granularity) or suppressed (deny/fail) with O(1) counter updates.
+    /// Attribute-masked and scoped (per-tuple) segments, and any batch
+    /// containing policies, fall back to the per-element cores, so
+    /// outputs, counters, audit records, and snapshots are identical to
+    /// element-at-a-time processing for every batch shape. The executor
+    /// times the call; the shield reads no clock.
     fn process_batch(
         &mut self,
         port: usize,
@@ -494,8 +470,6 @@ impl Operator for SecurityShield {
         if port != 0 {
             return Err(EngineError::BadPort { operator: "ss".into(), port, arity: 1 });
         }
-        let start = self.timed.then(std::time::Instant::now);
-        let cost = if batch.is_control() { CostKind::Sp } else { CostKind::Tuple };
         if batch.is_control() {
             // Policy run (or a mixed test batch): per-element cores.
             for elem in batch {
@@ -592,9 +566,6 @@ impl Operator for SecurityShield {
                     }
                 }
             }
-        }
-        if let Some(start) = start {
-            self.stats.charge(cost, start.elapsed());
         }
         Ok(())
     }

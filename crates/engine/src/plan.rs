@@ -476,11 +476,6 @@ impl Executor {
         &self.sinks[s.0]
     }
 
-    /// Mutable sink access (e.g. to clear between bench phases).
-    pub fn sink_mut(&mut self, s: SinkRef) -> &mut Sink {
-        &mut self.sinks[s.0]
-    }
-
     /// A node's cost counters.
     #[must_use]
     pub fn stats(&self, n: NodeRef) -> &OperatorStats {

@@ -421,10 +421,14 @@ fn stale_primary_is_fenced_and_releases_nothing() {
     assert!(wait_applied(&standby, 0, 1, Duration::from_secs(10)));
 
     // Promote while the primary is alive and its replication link is up:
-    // the standby writes the Fence straight onto that link.
-    let replicated = standby.stores().store(0).load_latest();
-    let control = resume_control(&f, 0, replicated.as_ref(), &input);
+    // the standby writes the Fence straight onto that link. The control
+    // resumes from what the promoted node resumes from: the replicated
+    // checkpoint as of after promotion, since a commit may still land
+    // while the fence settles.
+    let stores = standby.stores();
     let promoted = standby.promote(default_cfg()).unwrap();
+    let replicated = stores.store(0).load_latest();
+    let control = resume_control(&f, 0, replicated.as_ref(), &input);
 
     // The deposed primary must notice and fail closed.
     let deadline = Instant::now() + Duration::from_secs(5);
