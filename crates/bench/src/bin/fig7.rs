@@ -96,7 +96,7 @@ fn main() {
         "t" => telemetry_report(),
         "x" => trace_report(),
         "s" => shard_report(),
-        _ => {
+        "all" => {
             ratio_sweep(true);
             ratio_sweep(false);
             policy_size_sweep(true);
@@ -107,13 +107,18 @@ fn main() {
             trace_report();
             shard_report();
         }
+        other => {
+            eprintln!("fig7: unknown report {other:?}");
+            eprintln!("usage: fig7 [a|p|c|d|b|r|t|x|s|all]  (no argument runs all)");
+            std::process::exit(2);
+        }
     }
 }
 
 /// Batch-execution gain: one select+shield-heavy plan, driven once in
-/// tuple-at-a-time mode and once in segment batches. Shield wall-clock
-/// sampling is off in both modes so the comparison isolates the dataflow
-/// (routing, dispatch, fan-out clones) rather than clock-read counts.
+/// tuple-at-a-time mode and once in segment batches. The executor's
+/// sampled operator timer runs in both modes: tuple-at-a-time calls are
+/// timed about one in 64, batched runs of 127 or more elements always.
 ///
 /// Doubles as a **release lint**: the two modes must release the same
 /// tuple multiset per sink — any divergence exits nonzero, failing CI.

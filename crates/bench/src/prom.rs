@@ -426,6 +426,48 @@ sp_operator_latency_ns_count{node=\"0\"} 9
     }
 
     #[test]
+    fn standby_rendered_exposition_passes() {
+        // A standby that evicted reassembly buffers exports the eviction
+        // counter in an exposition that lints clean.
+        use sp_core::wire::{Control, StreamDecoder, WireFrame};
+        use std::io::{Read, Write};
+        let factory: sp_server::SessionFactory = std::sync::Arc::new(|_| sp_query::Dsms::new());
+        let standby = sp_server::Standby::start(factory, sp_server::StoreMap::new(), true).unwrap();
+        let mut peer = std::net::TcpStream::connect(standby.repl_addr).unwrap();
+        for epoch in 1..=100 {
+            let seg = Control::CheckpointSegment {
+                tenant: 1,
+                epoch,
+                fencing_epoch: 1,
+                seq: 0,
+                total: 2,
+                bytes: vec![0; 8],
+            };
+            peer.write_all(&seg.encode_to_vec()).unwrap();
+        }
+        // The hello's reply orders after every segment before it.
+        peer.write_all(&Control::ReplHello { fencing_epoch: 1 }.encode_to_vec()).unwrap();
+        let mut dec = StreamDecoder::new(1 << 20);
+        let mut buf = [0u8; 256];
+        loop {
+            let n = peer.read(&mut buf).unwrap();
+            assert!(n > 0, "standby closed the connection");
+            let frames = dec.feed(&buf[..n]);
+            if frames.iter().any(|f| matches!(f, WireFrame::Control(Control::ReplHello { .. }))) {
+                break;
+            }
+        }
+        let mut http = std::net::TcpStream::connect(standby.metrics_addr.unwrap()).unwrap();
+        http.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        http.read_to_string(&mut response).unwrap();
+        standby.stop();
+        let prom = response.split_once("\r\n\r\n").unwrap().1;
+        assert_eq!(lint(prom), vec![], "standby exposition must lint clean");
+        assert!(prom.contains("\nsp_server_repl_segments_evicted_total 36\n"), "{prom}");
+    }
+
+    #[test]
     fn missing_quantile_gauges_are_flagged() {
         // GOOD is format-valid but carries no quantile gauges: the plain
         // lint accepts it, the quantile lint names every missing series.

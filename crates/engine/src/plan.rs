@@ -74,6 +74,67 @@ impl SinkRef {
 /// whole.
 pub const MAX_DEFERRED_INPUTS: usize = 256;
 
+/// Mean number of elements between two timed calls of one operator.
+const TIMING_STRIDE: u64 = 64;
+
+/// Decides which of a node's `process_batch` calls the executor times,
+/// and estimates the cost of the calls it does not time.
+///
+/// A call is timed once the elements since the node's last timed call,
+/// plus the call's own `len`, reach `gap`. Each timed call draws the
+/// next gap uniformly from `[1, 2 * TIMING_STRIDE - 1]`, so one clock
+/// pair covers about `TIMING_STRIDE` elements, the first call is always
+/// timed, and any call of `2 * TIMING_STRIDE - 1` or more elements is
+/// too. The jitter matters: with a fixed stride of 64, every
+/// power-of-two-periodic spike (a `Vec` doubling, a frame of 64, a ring
+/// wrap) lands on a timed call and is charged to the whole stride.
+///
+/// An untimed call is charged the per-element cost of the last timed
+/// call, so counts stay exact and sums become unbiased estimates.
+struct CallSampler {
+    /// Elements processed since the last timed call.
+    untimed: u64,
+    /// Elements at which the next call is timed.
+    gap: u64,
+    /// Xorshift64 state; never zero.
+    rng: u64,
+    /// Per-element cost of the last timed call, in nanoseconds.
+    per_elem_ns: u64,
+}
+
+impl CallSampler {
+    /// A sampler seeded by the node's index in the plan.
+    fn new(node: usize) -> Self {
+        // Multiplying by an odd constant is a bijection mod 2^64, so a
+        // non-zero input gives a non-zero xorshift state.
+        let rng = (node as u64).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        Self { untimed: 0, gap: 0, rng, per_elem_ns: 0 }
+    }
+
+    /// Whether a call of `len` elements is to be timed.
+    fn due(&self, len: u64) -> bool {
+        self.untimed + len >= self.gap
+    }
+
+    /// Accounts one call of `len` elements, `measured` when it was
+    /// timed, and returns the wall time to charge it.
+    fn charge(&mut self, measured: Option<Duration>, len: u64) -> Duration {
+        let Some(measured) = measured else {
+            self.untimed += len;
+            return Duration::from_nanos(self.per_elem_ns.saturating_mul(len));
+        };
+        #[allow(clippy::cast_possible_truncation)] // < 585 years
+        let ns = measured.as_nanos() as u64;
+        self.per_elem_ns = ns / len.max(1);
+        self.untimed = 0;
+        self.rng ^= self.rng << 13;
+        self.rng ^= self.rng >> 7;
+        self.rng ^= self.rng << 17;
+        self.gap = 1 + self.rng % (2 * TIMING_STRIDE - 1);
+        measured
+    }
+}
+
 /// An edge destination inside the plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Target {
@@ -107,8 +168,17 @@ impl From<NodeRef> for Upstream {
 pub(crate) struct Node {
     pub(crate) op: Box<dyn Operator>,
     pub(crate) outputs: Vec<Target>,
-    /// Wall time spent inside `process`, measured by the executor.
+    /// Wall time spent inside `process`: measured on the calls the
+    /// sampler times, estimated from the last measured per-element cost
+    /// on the others.
     pub(crate) elapsed: Duration,
+    sampler: CallSampler,
+}
+
+impl Node {
+    fn new(op: Box<dyn Operator>, index: usize) -> Self {
+        Self { op, outputs: Vec::new(), elapsed: Duration::ZERO, sampler: CallSampler::new(index) }
+    }
 }
 
 pub(crate) struct Source {
@@ -200,7 +270,7 @@ impl PlanBuilder {
     pub fn add(&mut self, op: impl Operator + 'static, input: impl Into<Upstream>) -> NodeRef {
         debug_assert_eq!(op.arity(), 1, "use add_binary for binary operators");
         let node = NodeRef(self.nodes.len());
-        self.nodes.push(Node { op: Box::new(op), outputs: Vec::new(), elapsed: Duration::ZERO });
+        self.nodes.push(Node::new(Box::new(op), node.0));
         self.connect(input.into(), Target::Node(node.0, 0));
         node
     }
@@ -215,7 +285,7 @@ impl PlanBuilder {
     ) -> NodeRef {
         debug_assert_eq!(op.arity(), 2, "operator is not binary");
         let node = NodeRef(self.nodes.len());
-        self.nodes.push(Node { op: Box::new(op), outputs: Vec::new(), elapsed: Duration::ZERO });
+        self.nodes.push(Node::new(Box::new(op), node.0));
         self.connect(left.into(), Target::Node(node.0, 0));
         self.connect(right.into(), Target::Node(node.0, 1));
         node
@@ -326,7 +396,9 @@ pub struct Executor {
     /// Reusable operator-output scratch.
     emitter: Emitter,
     telemetry: TelemetryConfig,
-    /// Per-node `process` latency in nanoseconds (metrics mode only).
+    /// Per-node, per-element `process` latency in nanoseconds (metrics
+    /// mode only). Every element is counted; the values are the sampler's
+    /// measured or carried per-element costs, so sums are estimates.
     latency: Vec<Histogram>,
     /// Work-queue depth sampled at each dequeue (metrics mode only).
     queue_depth: Histogram,
@@ -443,16 +515,14 @@ impl Executor {
                 Target::Node(n, port) => {
                     let node = &mut self.nodes[n];
                     let len = batch.len() as u64;
-                    let start = std::time::Instant::now();
+                    let start = node.sampler.due(len).then(std::time::Instant::now);
                     let result = node.op.process_batch(port, batch, &mut emitter);
-                    let elapsed = start.elapsed();
-                    node.elapsed += elapsed;
+                    node.elapsed += node.sampler.charge(start.map(|s| s.elapsed()), len);
                     if self.telemetry.metrics {
-                        // One clock pair per batch; the histogram records
-                        // the per-element average `len` times so counts
-                        // still mean "elements processed".
-                        #[allow(clippy::cast_possible_truncation)] // < 585 years
-                        self.latency[n].record_n(elapsed.as_nanos() as u64 / len.max(1), len);
+                        // Every call records its per-element cost (measured
+                        // or carried) `len` times, so counts still mean
+                        // "elements processed".
+                        self.latency[n].record_n(node.sampler.per_elem_ns, len);
                         self.queue_depth.record(self.queue.len() as u64);
                     }
                     if let Err(e) = result {
@@ -482,7 +552,9 @@ impl Executor {
         self.nodes[n.0].op.stats()
     }
 
-    /// Wall time the executor spent inside a node's `process`.
+    /// Wall time the executor spent inside a node's `process`: an
+    /// estimate, measured on sampled calls (always the first) and carried
+    /// per element to the calls in between.
     #[must_use]
     pub fn elapsed(&self, n: NodeRef) -> Duration {
         self.nodes[n.0].elapsed
@@ -675,7 +747,7 @@ impl Executor {
             if self.telemetry.metrics {
                 reg.merge_histogram(
                     "sp_operator_latency_ns",
-                    "Per-call operator process latency in nanoseconds",
+                    "Per-element operator process latency in nanoseconds (sampled)",
                     &labels,
                     &self.latency[i],
                 );
@@ -804,8 +876,9 @@ impl Executor {
     }
 
     /// A human-readable per-operator report: counts, shielded tuples,
-    /// elapsed wall time and state footprint — the runtime introspection a
-    /// DSMS operator console would show.
+    /// estimated wall time (see [`Executor::elapsed`]) and state
+    /// footprint — the runtime introspection a DSMS operator console would
+    /// show.
     #[must_use]
     pub fn report(&self) -> String {
         use std::fmt::Write as _;
@@ -1008,6 +1081,72 @@ mod tests {
         assert_eq!(d.quarantined, 3);
         assert!(d.quarantine_dropped >= 1, "tuple 3 timed out");
         assert!(d.total_dropped() >= 1);
+    }
+
+    /// Drives a sampler through calls of the given lengths, each timed
+    /// call measuring 10 ns per element; returns the timed call indices.
+    fn timed_calls(node: usize, lens: impl IntoIterator<Item = u64>) -> Vec<usize> {
+        let mut sampler = CallSampler::new(node);
+        let mut timed = Vec::new();
+        for (i, len) in lens.into_iter().enumerate() {
+            let measured = sampler.due(len).then(|| Duration::from_nanos(10 * len));
+            if measured.is_some() {
+                timed.push(i);
+            }
+            sampler.charge(measured, len);
+        }
+        timed
+    }
+
+    #[test]
+    fn sampler_times_about_one_single_element_call_in_the_stride() {
+        for node in 0..8 {
+            let timed = timed_calls(node, std::iter::repeat_n(1, 64_000));
+            assert!((750..=1250).contains(&timed.len()), "node {node}: {} timed", timed.len());
+            // A fixed power-of-two stride would hit one residue only.
+            let residues: std::collections::HashSet<usize> = timed.iter().map(|i| i % 64).collect();
+            assert!(residues.len() >= 32, "node {node}: {} residues mod 64", residues.len());
+        }
+    }
+
+    #[test]
+    fn sampler_times_the_first_call_and_every_long_run() {
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let lens: Vec<u64> = (0..10_000)
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                if rng.is_multiple_of(4) {
+                    127 + rng % 300
+                } else {
+                    1 + rng % 40
+                }
+            })
+            .collect();
+        for node in 0..8 {
+            let timed = timed_calls(node, lens.iter().copied());
+            assert_eq!(timed.first(), Some(&0), "node {node}: first call untimed");
+            for (i, len) in lens.iter().enumerate() {
+                if *len >= 2 * TIMING_STRIDE - 1 {
+                    assert!(
+                        timed.binary_search(&i).is_ok(),
+                        "node {node}: call {i} ({len}) untimed"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn untimed_calls_carry_the_last_measured_cost() {
+        let mut sampler = CallSampler::new(0);
+        assert!(sampler.due(4));
+        let d = Duration::from_nanos(400);
+        assert_eq!(sampler.charge(Some(d), 4), d);
+        assert_eq!(sampler.per_elem_ns, 100);
+        assert_eq!(sampler.charge(None, 3), Duration::from_nanos(300));
+        assert_eq!(sampler.per_elem_ns, 100);
     }
 
     #[test]

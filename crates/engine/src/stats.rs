@@ -2,8 +2,9 @@
 //!
 //! Every operator owns an [`OperatorStats`]: logical counters (tuples and
 //! sps in and out, tuples shielded) plus time buckets by cause. Per-call
-//! operator time is not kept here: the executor reads one clock pair
-//! around each `process_batch` call (`Executor::elapsed`, the
+//! operator time is not kept here: the executor samples it, timing about
+//! one `process_batch` call per 64 elements and charging the calls in
+//! between the last measured per-element cost (`Executor::elapsed`, the
 //! `sp_operator_latency_ns` histogram). Only the stateful binary
 //! operators, `SAJoin` and `SAIntersect`, charge buckets by cause — join
 //! probing, punctuation maintenance, window maintenance — because the

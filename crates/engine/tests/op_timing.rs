@@ -1,11 +1,13 @@
-//! One timer per operator call.
+//! One sampled timer per operator, in the executor.
 //!
-//! The executor reads one clock pair around every `process_batch` call;
-//! that pair feeds `Executor::elapsed` and the `sp_operator_latency_ns`
-//! histogram. Stateless operators read no clock of their own, so their
-//! cost buckets stay empty. Only the stateful binary operators (`SAJoin`,
-//! `SAIntersect`) still charge buckets by cause, because the executor
-//! cannot see inside a call.
+//! The executor times a sample of `process_batch` calls (always the
+//! first, then about one per 64 elements) and charges the calls in
+//! between the last measured per-element cost; that feeds
+//! `Executor::elapsed` and the `sp_operator_latency_ns` histogram, whose
+//! count is exactly the elements processed. Stateless operators read no
+//! clock of their own, so their cost buckets stay empty. Only the
+//! stateful binary operators (`SAJoin`, `SAIntersect`) still charge
+//! buckets by cause, because the executor cannot see inside a call.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

@@ -81,6 +81,12 @@ impl Observe for StandbyState {
             self.commits_applied.load(Ordering::SeqCst),
         );
         reg.add_counter(
+            "sp_server_repl_segments_evicted_total",
+            "Checkpoint reassembly buffers evicted at the open-buffer cap",
+            "",
+            self.segments_evicted.load(Ordering::SeqCst),
+        );
+        reg.add_counter(
             "sp_server_repl_apply_failures_total",
             "Checkpoint commits refused (bad bytes, stale epoch, failed resume dry run)",
             "",

@@ -26,7 +26,7 @@
 //! `/healthz` reports unhealthy. A fenced node never releases another
 //! tuple; losing input is acceptable, leaking it is not.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -341,8 +341,26 @@ pub(crate) fn spawn_shipper(
 // The standby
 // ---------------------------------------------------------------------------
 
-/// Segment reassembly buffers: `(tenant, epoch)` → per-seq slots.
-type PendingSegments = HashMap<(u32, u64), Vec<Option<Vec<u8>>>>;
+/// Most checkpoint reassembly buffers a standby keeps open. Opening one
+/// more evicts the open buffer with the lowest epoch: segments whose
+/// commit never comes (a partition that drops it, or a hostile peer on
+/// the replication port) cannot pile up.
+const MAX_PENDING_CHECKPOINTS: usize = 64;
+
+/// Most segments one checkpoint may claim.
+const MAX_SEGMENTS: u32 = 1 << 16;
+
+/// One checkpoint being reassembled: the segment count its first
+/// segment claimed, and the segments received so far by seq. Memory
+/// follows what arrived, not what was claimed.
+struct PendingCheckpoint {
+    total: u32,
+    segments: BTreeMap<u32, Vec<u8>>,
+}
+
+/// Segment reassembly buffers, keyed `(epoch, tenant)` so the first key
+/// is the eviction victim.
+type PendingSegments = BTreeMap<(u64, u32), PendingCheckpoint>;
 
 /// Standby-side shared state (also serves the observability listener).
 pub(crate) struct StandbyState {
@@ -357,8 +375,10 @@ pub(crate) struct StandbyState {
     /// Highest checkpoint epoch seen shipped per tenant (lag = shipped
     /// − applied).
     pub shipped: Mutex<HashMap<u32, u64>>,
-    /// Segment reassembly buffers: `(tenant, epoch)` → slots.
+    /// Segment reassembly buffers, at most [`MAX_PENDING_CHECKPOINTS`].
     pending: Mutex<PendingSegments>,
+    /// Reassembly buffers evicted at the cap.
+    pub segments_evicted: AtomicU64,
     /// Commits refused (bad bytes, stale epoch race, resume dry-run
     /// failure) — refusals are fail-closed, never partial applies.
     pub apply_failures: AtomicU64,
@@ -385,6 +405,27 @@ impl StandbyState {
         lag
     }
 
+    /// Buffers one checkpoint segment. Segments of an epoch the tenant
+    /// has already applied are dropped; a new buffer at the cap evicts
+    /// the lowest-epoch one.
+    fn buffer_segment(&self, tenant: u32, epoch: u64, seq: u32, total: u32, bytes: Vec<u8>) {
+        let applied = unpoison(self.applied.lock()).get(&tenant).copied().unwrap_or(0);
+        if epoch <= applied || seq >= total.min(MAX_SEGMENTS) {
+            return;
+        }
+        let mut pending = unpoison(self.pending.lock());
+        if !pending.contains_key(&(epoch, tenant)) && pending.len() >= MAX_PENDING_CHECKPOINTS {
+            pending.pop_first();
+            self.segments_evicted.fetch_add(1, Ordering::SeqCst);
+        }
+        let ckpt = pending
+            .entry((epoch, tenant))
+            .or_insert_with(|| PendingCheckpoint { total, segments: BTreeMap::new() });
+        if seq < ckpt.total {
+            ckpt.segments.insert(seq, bytes);
+        }
+    }
+
     /// Verifies and applies one committed checkpoint. The apply is
     /// all-or-nothing: reassembled bytes must match the commit's length
     /// and CRC, decode as a checkpoint for a *newer* epoch than what is
@@ -393,7 +434,7 @@ impl StandbyState {
     fn apply_commit(&self, tenant: u32, epoch: u64, len: u32, crc: u32) -> bool {
         let assembled = {
             let mut pending = unpoison(self.pending.lock());
-            pending.remove(&(tenant, epoch))
+            pending.remove(&(epoch, tenant))
         };
         {
             let mut shipped = unpoison(self.shipped.lock());
@@ -406,15 +447,16 @@ impl StandbyState {
             // (idempotent) but never roll the store backwards.
             return true;
         }
-        let Some(slots) = assembled else {
+        let Some(assembled) = assembled else {
             self.apply_failures.fetch_add(1, Ordering::SeqCst);
             return false; // Segments lost (partition); await a re-ship.
         };
-        if slots.iter().any(Option::is_none) {
+        // Every seq is below `total`, so `total` distinct seqs are all of them.
+        if assembled.segments.len() != assembled.total as usize {
             self.apply_failures.fetch_add(1, Ordering::SeqCst);
             return false;
         }
-        let bytes: Vec<u8> = slots.into_iter().flatten().flatten().collect();
+        let bytes: Vec<u8> = assembled.segments.into_values().flatten().collect();
         if bytes.len() != len as usize || crc32(&bytes) != crc {
             self.apply_failures.fetch_add(1, Ordering::SeqCst);
             return false;
@@ -445,6 +487,7 @@ impl StandbyState {
             return false;
         }
         unpoison(self.applied.lock()).insert(tenant, epoch);
+        unpoison(self.pending.lock()).retain(|&(e, t), _| t != tenant || e > epoch);
         self.commits_applied.fetch_add(1, Ordering::SeqCst);
         {
             // Deterministic apply span: the same checkpoint applied on
@@ -508,7 +551,8 @@ impl Standby {
             promoted_epoch: AtomicU64::new(0),
             applied: Mutex::new(HashMap::new()),
             shipped: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(BTreeMap::new()),
+            segments_evicted: AtomicU64::new(0),
             apply_failures: AtomicU64::new(0),
             commits_applied: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
@@ -604,13 +648,7 @@ fn standby_conn(state: &Arc<StandbyState>, mut stream: TcpStream) {
                             .write_all(&Control::Fence { fencing_epoch: prev }.encode_to_vec());
                         continue;
                     }
-                    let mut pending = unpoison(state.pending.lock());
-                    let slots = pending
-                        .entry((tenant, epoch))
-                        .or_insert_with(|| vec![None; (total as usize).min(1 << 16)]);
-                    if let Some(slot) = slots.get_mut(seq as usize) {
-                        *slot = Some(bytes);
-                    }
+                    state.buffer_segment(tenant, epoch, seq, total, bytes);
                 }
                 Control::CheckpointCommit { tenant, epoch, fencing_epoch, len, crc } => {
                     let prev = state.seen_epoch.fetch_max(fencing_epoch, Ordering::SeqCst);
@@ -716,5 +754,118 @@ impl StandbyHandle {
         if let Some(j) = self.metrics_join.take() {
             let _ = j.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use sp_core::StreamId;
+    use sp_mog::MovingObjectSim;
+    use sp_query::Dsms;
+
+    fn factory() -> SessionFactory {
+        Arc::new(|tenant: u32| {
+            let mut dsms = Dsms::new();
+            dsms.register_stream(StreamId(1), MovingObjectSim::location_schema()).unwrap();
+            dsms.register_role("analyst").unwrap();
+            let subject = dsms.register_subject(&format!("tenant-{tenant}"), &["analyst"]).unwrap();
+            dsms.submit("SELECT obj_id, speed FROM LocationUpdates WHERE speed >= 5.0", subject)
+                .unwrap();
+            dsms
+        })
+    }
+
+    fn segment(tenant: u32, epoch: u64, seq: u32, total: u32, bytes: Vec<u8>) -> Vec<u8> {
+        Control::CheckpointSegment { tenant, epoch, fencing_epoch: 1, seq, total, bytes }
+            .encode_to_vec()
+    }
+
+    /// Reads control frames until `want` matches one.
+    fn await_reply(peer: &mut TcpStream, want: impl Fn(&Control) -> bool) {
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut dec = StreamDecoder::new(1 << 24);
+        let mut buf = [0u8; 4096];
+        loop {
+            let n = peer.read(&mut buf).unwrap();
+            assert!(n > 0, "standby closed the connection");
+            if dec.feed(&buf[..n]).iter().any(|f| matches!(f, WireFrame::Control(c) if want(c))) {
+                return;
+            }
+        }
+    }
+
+    /// Every frame written before a `ReplHello` has been handled once
+    /// its reply arrives.
+    fn sync(peer: &mut TcpStream) {
+        peer.write_all(&Control::ReplHello { fencing_epoch: 1 }.encode_to_vec()).unwrap();
+        await_reply(peer, |c| matches!(c, Control::ReplHello { .. }));
+    }
+
+    /// Ships a real checkpoint of `tenant` at `epoch` the way the
+    /// primary does, and waits for the commit's echo.
+    fn ship(peer: &mut TcpStream, tenant: u32, epoch: u64) {
+        let mut store = MemStore::new();
+        factory()(tenant).start().checkpoint_to(epoch, &mut store).unwrap();
+        let bytes = store.load_latest().unwrap().encode_to_vec();
+        let total = u32::try_from(bytes.len().div_ceil(64)).unwrap();
+        assert!(total > 1, "the checkpoint must span several segments");
+        for (seq, part) in bytes.chunks(64).enumerate() {
+            peer.write_all(&segment(tenant, epoch, seq as u32, total, part.to_vec())).unwrap();
+        }
+        let (len, crc) = (bytes.len() as u32, crc32(&bytes));
+        let commit = Control::CheckpointCommit { tenant, epoch, fencing_epoch: 1, len, crc };
+        peer.write_all(&commit.encode_to_vec()).unwrap();
+        await_reply(peer, |c| matches!(c, Control::CheckpointCommit { .. }));
+    }
+
+    fn pending_keys(standby: &StandbyHandle) -> Vec<(u64, u32)> {
+        unpoison(standby.state.pending.lock()).keys().copied().collect()
+    }
+
+    #[test]
+    fn segments_without_commits_stay_bounded() {
+        let standby = Standby::start(factory(), StoreMap::new(), false).unwrap();
+        let mut peer = TcpStream::connect(standby.repl_addr).unwrap();
+        let flood: Vec<u8> =
+            (1..=10_000).flat_map(|epoch| segment(7, epoch, 0, 4, vec![0; 8])).collect();
+        peer.write_all(&flood).unwrap();
+        sync(&mut peer);
+
+        let open = pending_keys(&standby);
+        assert_eq!(open.len(), MAX_PENDING_CHECKPOINTS);
+        assert_eq!(open.first(), Some(&(10_001 - MAX_PENDING_CHECKPOINTS as u64, 7)));
+        let evicted = standby.state.segments_evicted.load(Ordering::SeqCst);
+        assert_eq!(evicted, 10_000 - MAX_PENDING_CHECKPOINTS as u64);
+
+        // A full map still admits a normal ship.
+        ship(&mut peer, 0, 1);
+        assert_eq!(standby.applied_epochs(), vec![(0, 1)]);
+        assert_eq!(standby.apply_failures(), 0);
+        assert!(pending_keys(&standby).len() <= MAX_PENDING_CHECKPOINTS);
+        standby.stop();
+    }
+
+    #[test]
+    fn an_apply_drops_the_tenants_older_segments() {
+        let standby = Standby::start(factory(), StoreMap::new(), false).unwrap();
+        let mut peer = TcpStream::connect(standby.repl_addr).unwrap();
+        // An orphan whose commit never comes, and another tenant's.
+        peer.write_all(&segment(0, 1, 0, 2, vec![1; 8])).unwrap();
+        peer.write_all(&segment(3, 1, 0, 2, vec![1; 8])).unwrap();
+        ship(&mut peer, 0, 2);
+        assert_eq!(standby.applied_epochs(), vec![(0, 2)]);
+        assert_eq!(pending_keys(&standby), vec![(1, 3)]);
+
+        // Late segments at or below the applied epoch are dropped.
+        peer.write_all(&segment(0, 1, 1, 2, vec![1; 8])).unwrap();
+        peer.write_all(&segment(0, 2, 0, 2, vec![1; 8])).unwrap();
+        peer.write_all(&segment(0, 3, 0, 2, vec![1; 8])).unwrap();
+        sync(&mut peer);
+        assert_eq!(pending_keys(&standby), vec![(1, 3), (3, 0)]);
+        assert_eq!(standby.state.segments_evicted.load(Ordering::SeqCst), 0);
+        standby.stop();
     }
 }
