@@ -40,11 +40,12 @@
 //! 5% or any enforcement-lag histogram is empty on this workload.
 //!
 //! `s` measures key-partitioned shard scale-out: the same shield-heavy
-//! plan behind the deterministic exchange at widths 1/2/4/8, reporting
-//! the wall-clock speedup and writing a machine-readable summary to
-//! `target/BENCH_shard.json`. It doubles as a release lint: the released
-//! sequence, the audit trail, and the checkpoint must be byte-identical
-//! at every width (and a checkpoint cut at one width must resume at
+//! plan behind the deterministic exchange at widths 2/4/8, reporting the
+//! wall-clock speedup over width 1 — the sequential executor — and
+//! writing a machine-readable summary to `target/BENCH_shard.json`. It
+//! doubles as a release lint: the released sequence, the audit trail,
+//! and the checkpoint must be byte-identical to the sequential run's at
+//! every width (and a checkpoint cut at one width must resume at
 //! another) — any divergence exits nonzero. The ≥3× speedup target at 8
 //! shards is enforced only on hosts with at least 8 cores; elsewhere the
 //! skip is recorded in the summary instead of failing the build.
@@ -234,17 +235,19 @@ fn batch_report() {
 /// Shard scale-out: one shield-heavy plan behind the key partitioner at
 /// widths 1/2/4/8. Large policies (|R| = 100) make the shield's
 /// per-tuple probe the dominant cost — the work the partitioner spreads
-/// across cores — while the coordinator's routing stays cheap.
+/// across cores — while the coordinator's routing stays cheap. Width 1
+/// is `Engine::new(_, 1)`, the sequential `Executor`, so every printed
+/// speedup is against the fastest existing path.
 ///
 /// Doubles as a **release lint** for the §V equivalence invariants:
 /// every width must release the same tuple sequence, encode the same
-/// audit trail, and cut the same checkpoint bytes as the width-1 run,
-/// and a checkpoint cut at width 4 must resume at width 2. Divergence
-/// exits nonzero unconditionally. The ≥3× speedup target at 8 shards is
+/// audit trail, and cut the same checkpoint bytes as the sequential
+/// executor, and a checkpoint cut at width 4 must resume at width 2.
+/// Divergence exits nonzero unconditionally. The ≥3× speedup target at 8 shards is
 /// enforced only when the host has at least 8 cores; on smaller hosts
 /// the skip is recorded in `target/BENCH_shard.json` instead.
 fn shard_report() {
-    use sp_engine::{CmpOp, Expr, Select, ShardedExecutor};
+    use sp_engine::{CmpOp, Engine, Expr, Select};
 
     const WIDTHS: [usize; 4] = [1, 2, 4, 8];
     let catalog = catalog(128);
@@ -281,12 +284,12 @@ fn shard_report() {
         .iter()
         .map(|&w| {
             let elapsed = time_best_of_3(|| {
-                let mut exec = ShardedExecutor::new(|| builder().0, w).expect("plan is shardable");
+                let mut exec = Engine::new(|| builder().0, w).expect("plan is shardable");
                 exec.push_all(input.iter().cloned()).expect("clean input");
                 exec.finish().expect("clean finish");
             });
             // A kept run for the invariant lint, outside the timing loop.
-            let mut exec = ShardedExecutor::new(|| builder().0, w).expect("plan is shardable");
+            let mut exec = Engine::new(|| builder().0, w).expect("plan is shardable");
             exec.push_all(input.iter().cloned()).expect("clean input");
             exec.finish().expect("clean finish");
             let released: Vec<u64> = exec.sink(sink).tuples().map(|t| t.tid.raw()).collect();
@@ -299,13 +302,13 @@ fn shard_report() {
 
     // Cross-width resume: cut mid-stream at width 4, restore at width 2,
     // finish the input there. The resumed run's releases must be exactly
-    // the width-1 run's tail.
+    // the sequential run's tail.
     let half = input.len() / 2;
     let resumed_ok = {
-        let mut a = ShardedExecutor::new(|| builder().0, 4).expect("plan is shardable");
+        let mut a = Engine::new(|| builder().0, 4).expect("plan is shardable");
         a.push_all(input[..half].iter().cloned()).expect("clean input");
         let cut = a.checkpoint(1, half as u64).expect("checkpoint cuts");
-        let mut b = ShardedExecutor::new(|| builder().0, 2).expect("plan is shardable");
+        let mut b = Engine::new(|| builder().0, 2).expect("plan is shardable");
         b.restore(&cut).expect("checkpoint restores at another width");
         b.push_all(input[half..].iter().cloned()).expect("clean input");
         b.finish().expect("clean finish");
@@ -391,7 +394,7 @@ fn shard_report() {
 
     if !invariants_ok {
         eprintln!(
-            "LINT FAILURE: sharded execution diverged from the width-1 run \
+            "LINT FAILURE: sharded execution diverged from the sequential run \
              (released/audit/checkpoint must be byte-identical at every width, \
              and a width-4 checkpoint must resume at width 2)"
         );
@@ -451,7 +454,7 @@ fn telemetry_report() {
     let _ = exec.finish();
     let trail = exec.audit_trail();
     let audit_records = trail.len() as u64 + trail.evicted();
-    let prom = exec.metrics_prometheus();
+    let prom = exec.metrics().render_prometheus();
 
     println!("\nFig 7t: telemetry overhead (audit trail + metrics histograms)");
     println!("  bare run            {:>10.2} ms", plain.as_secs_f64() * 1e3);
@@ -540,7 +543,7 @@ fn trace_report() {
     }
     let _ = exec.finish();
     let sheet = exec.span_sheet();
-    let prom = exec.metrics_prometheus();
+    let prom = exec.metrics().render_prometheus();
 
     // Span count per causal site, from the merged sheet.
     let mut per_site: std::collections::BTreeMap<&'static str, u64> = Default::default();
@@ -792,7 +795,7 @@ fn recovery_report() {
         false
     };
     let mut store = MemStore::default();
-    let run = run_supervised(builder, &input, &cfg, &mut store, &mut oracle)
+    let mut run = run_supervised(builder, &input, &cfg, &mut store, &mut oracle)
         .expect("in-memory store never fails");
     let deg = run.degradation();
 

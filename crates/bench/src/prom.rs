@@ -418,7 +418,7 @@ sp_operator_latency_ns_count{node=\"0\"} 9
         let mut exec = b.build();
         let sp = SecurityPunctuation::grant_all(RoleSet::from([0]), Timestamp(1));
         exec.push(StreamId(1), StreamElement::punctuation(sp)).unwrap();
-        let prom = exec.metrics_prometheus();
+        let prom = exec.metrics().render_prometheus();
         let errors = lint(&prom);
         assert_eq!(errors, vec![], "engine exposition must lint clean");
         let errors = lint_quantiles(&prom);

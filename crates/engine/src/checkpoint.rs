@@ -370,7 +370,45 @@ pub struct Checkpoint {
     pub sinks: Vec<Vec<u8>>,
 }
 
+/// One canonical snapshot section per item, in order.
+pub(crate) fn sections<T>(items: &[T], snapshot: impl Fn(&T, &mut Vec<u8>)) -> Vec<Vec<u8>> {
+    items
+        .iter()
+        .map(|item| {
+            let mut buf = Vec::new();
+            snapshot(item, &mut buf);
+            buf
+        })
+        .collect()
+}
+
 impl Checkpoint {
+    /// Checks the cut has one section per source, node and sink of a
+    /// plan with these counts.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::CheckpointCorrupt`] on a mismatch: a cut from
+    /// another plan is refused, never partly applied.
+    pub(crate) fn check_shape(
+        &self,
+        sources: usize,
+        nodes: usize,
+        sinks: usize,
+    ) -> Result<(), EngineError> {
+        let got = (self.analyzers.len(), self.nodes.len(), self.sinks.len());
+        if got == (sources, nodes, sinks) {
+            return Ok(());
+        }
+        Err(EngineError::corrupt(
+            "plan",
+            format!(
+                "checkpoint shape {}/{}/{} does not match plan {sources}/{nodes}/{sinks}",
+                got.0, got.1, got.2
+            ),
+        ))
+    }
+
     /// Serializes the checkpoint as one CRC-framed record:
     /// `[CKPT_MAGIC][u32 body length][u32 CRC-32][body]`.
     pub fn encode(&self, buf: &mut Vec<u8>) {

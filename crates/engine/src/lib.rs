@@ -24,6 +24,9 @@
 //!   deterministic exchange merge, with broadcast sps, shard-spanning
 //!   canonical checkpoints, and byte-identical observables at any shard
 //!   count;
+//! * [`engine`] — one executor surface ([`Engine`]) over the sequential
+//!   and the sharded executor, which the supervisor and the query
+//!   session drive;
 //! * [`error`] — typed runtime errors: hostile input fails a query, not
 //!   the process;
 //! * [`fault`] — deterministic seeded fault injection (drop / duplicate /
@@ -47,7 +50,7 @@
 //!   that §V-A suggests for many-query shields;
 //! * [`telemetry`] — the security-decision audit trail and the sp-trace
 //!   span plane (deterministic per-operator record rings), and mergeable
-//!   log₂ histograms with Prometheus/JSON export.
+//!   log₂ histograms with Prometheus text export.
 
 #![warn(missing_docs)]
 
@@ -55,6 +58,7 @@ pub mod analyzer;
 pub mod batch;
 pub mod checkpoint;
 pub mod element;
+pub mod engine;
 pub mod error;
 pub mod expr;
 pub mod fault;
@@ -75,6 +79,7 @@ pub use analyzer::{QuarantinePolicy, SpAnalyzer};
 pub use batch::ElementBatch;
 pub use checkpoint::{Checkpoint, CheckpointStore, FileStore, MemStore};
 pub use element::{Element, PolicyEntry, SegmentPolicy};
+pub use engine::Engine;
 pub use error::EngineError;
 pub use expr::{ArithOp, CmpOp, Expr};
 pub use fault::{
@@ -98,8 +103,7 @@ pub use shard::{Partitioner, ShardedExecutor};
 pub use slack::Slack;
 pub use stats::{CostKind, DegradationStats, OperatorStats};
 pub use supervisor::{
-    run_supervised, run_supervised_sharded, RecoveryReport, SessionExecutor, SupervisedRun,
-    SupervisorConfig, DEFAULT_EPOCH_INTERVAL,
+    run_supervised, RecoveryReport, SupervisedRun, SupervisorConfig, DEFAULT_EPOCH_INTERVAL,
 };
 pub use telemetry::{
     AuditEvent, AuditOp, AuditRecord, AuditTrail, CipherViolation, FlightRecorder, Histogram,

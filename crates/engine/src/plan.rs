@@ -36,14 +36,15 @@ use sp_core::{RoleCatalog, Schema, StreamElement, StreamId};
 
 use crate::analyzer::SpAnalyzer;
 use crate::batch::ElementBatch;
+use crate::checkpoint::sections;
 use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
 use crate::ops::sink::Sink;
 use crate::stats::OperatorStats;
 use crate::telemetry::{
-    add_plan_metrics, merge_recorders, operator_labels, AuditOp, AuditTrail, Histogram,
-    MetricsRegistry, SpanSheet, TelemetryConfig,
+    add_plan_metrics, operator_labels, plan_sheet, AuditTrail, Histogram, MetricsRegistry,
+    SpanSheet, TelemetryConfig,
 };
 
 /// Reference to a plan node (an operator added to a builder).
@@ -89,16 +90,24 @@ const TIMING_STRIDE: u64 = 64;
 /// power-of-two-periodic spike (a `Vec` doubling, a frame of 64, a ring
 /// wrap) lands on a timed call and is charged to the whole stride.
 ///
-/// An untimed call is charged the per-element cost of the last timed
-/// call, so counts stay exact and sums become unbiased estimates.
+/// An untimed call is charged the median per-element cost of the last
+/// three timed calls, so counts stay exact, sums become estimates, and
+/// one spiky timed call (allocator growth, preemption) is charged to
+/// itself only, never carried to the calls after it.
 struct CallSampler {
     /// Elements processed since the last timed call.
     untimed: u64,
-    /// Elements at which the next call is timed.
+    /// Elements at which the next call is timed; 0 before the first.
     gap: u64,
     /// Xorshift64 state; never zero.
     rng: u64,
-    /// Per-element cost of the last timed call, in nanoseconds.
+    /// Per-element costs of the last three timed calls, oldest first,
+    /// in nanoseconds.
+    recent_ns: [u64; 3],
+    /// The median of `recent_ns`: what an untimed call is charged per
+    /// element.
+    carried_ns: u64,
+    /// Per-element cost charged to the last call, in nanoseconds.
     per_elem_ns: u64,
 }
 
@@ -108,7 +117,7 @@ impl CallSampler {
         // Multiplying by an odd constant is a bijection mod 2^64, so a
         // non-zero input gives a non-zero xorshift state.
         let rng = (node as u64).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Self { untimed: 0, gap: 0, rng, per_elem_ns: 0 }
+        Self { untimed: 0, gap: 0, rng, recent_ns: [0; 3], carried_ns: 0, per_elem_ns: 0 }
     }
 
     /// Whether a call of `len` elements is to be timed.
@@ -121,11 +130,18 @@ impl CallSampler {
     fn charge(&mut self, measured: Option<Duration>, len: u64) -> Duration {
         let Some(measured) = measured else {
             self.untimed += len;
-            return Duration::from_nanos(self.per_elem_ns.saturating_mul(len));
+            self.per_elem_ns = self.carried_ns;
+            return Duration::from_nanos(self.carried_ns.saturating_mul(len));
         };
         #[allow(clippy::cast_possible_truncation)] // < 585 years
         let ns = measured.as_nanos() as u64;
         self.per_elem_ns = ns / len.max(1);
+        let [_, b, c] = self.recent_ns;
+        // The first timed call stands in for all three.
+        self.recent_ns =
+            if self.gap == 0 { [self.per_elem_ns; 3] } else { [b, c, self.per_elem_ns] };
+        let [a, b, c] = self.recent_ns;
+        self.carried_ns = a.min(b).max(a.max(b).min(c));
         self.untimed = 0;
         self.rng ^= self.rng << 13;
         self.rng ^= self.rng >> 7;
@@ -679,48 +695,26 @@ impl Executor {
         }
     }
 
-    /// Assembles the plan-wide span sheet in canonical section order:
-    /// analyzers (by source index) first, then operators (by node index).
-    /// Sections whose recorder is disabled are omitted, so a sequential
-    /// run and a sharded run of the same plan yield byte-identical
-    /// [`SpanSheet::encode_to_vec`] output.
+    /// The plan-wide span sheet: analyzer sections (by source index),
+    /// then operator sections (by node index), disabled recorders
+    /// omitted — byte-identical to a sharded run's
+    /// [`SpanSheet::encode_to_vec`] over the same input.
     #[must_use]
     pub fn span_sheet(&self) -> SpanSheet {
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.spans().cloned()))
-                .chain(
-                    self.nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| (AuditOp::Node(i as u32), n.op.spans().cloned())),
-                ),
+        plan_sheet(
+            self.sources.iter().map(|s| s.analyzer.spans()),
+            self.nodes.iter().map(|n| n.op.spans()),
         )
     }
 
-    /// Assembles the plan-wide audit trail in canonical section order:
-    /// analyzers (by source index) first, then operators (by node index).
-    ///
-    /// Sections whose recorder is disabled are omitted, so a sequential run
-    /// and a sharded run of the same plan yield byte-identical
-    /// [`AuditTrail::encode_to_vec`] output.
+    /// The plan-wide audit trail, in the same section order as
+    /// [`Executor::span_sheet`] and byte-identical to a sharded run's
+    /// [`AuditTrail::encode_to_vec`] over the same input.
     #[must_use]
     pub fn audit_trail(&self) -> AuditTrail {
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.audit().cloned()))
-                .chain(
-                    self.nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| (AuditOp::Node(i as u32), n.op.audit().cloned())),
-                ),
+        plan_sheet(
+            self.sources.iter().map(|s| s.analyzer.audit()),
+            self.nodes.iter().map(|n| n.op.audit()),
         )
     }
 
@@ -788,18 +782,6 @@ impl Executor {
         reg
     }
 
-    /// The metrics snapshot rendered in Prometheus text exposition format.
-    #[must_use]
-    pub fn metrics_prometheus(&self) -> String {
-        self.metrics().render_prometheus()
-    }
-
-    /// The metrics snapshot rendered as a JSON document.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.metrics().render_json()
-    }
-
     /// Takes a consistent cut of the whole plan at an epoch boundary. Must
     /// be called at quiescence (no queued work): the sequential executor
     /// runs every pushed element to completion, so any point between
@@ -807,25 +789,13 @@ impl Executor {
     #[must_use]
     pub fn checkpoint(&self, epoch: u64, input_pos: u64) -> crate::checkpoint::Checkpoint {
         debug_assert!(self.queue.is_empty(), "checkpoint requires quiescence");
-        let mut analyzers = Vec::with_capacity(self.sources.len());
-        for source in &self.sources {
-            let mut buf = Vec::new();
-            source.analyzer.snapshot(&mut buf);
-            analyzers.push(buf);
+        crate::checkpoint::Checkpoint {
+            epoch,
+            input_pos,
+            analyzers: sections(&self.sources, |s, buf| s.analyzer.snapshot(buf)),
+            nodes: sections(&self.nodes, |n, buf| n.op.snapshot(buf)),
+            sinks: sections(&self.sinks, Operator::snapshot),
         }
-        let mut nodes = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let mut buf = Vec::new();
-            node.op.snapshot(&mut buf);
-            nodes.push(buf);
-        }
-        let mut sinks = Vec::with_capacity(self.sinks.len());
-        for sink in &self.sinks {
-            let mut buf = Vec::new();
-            Operator::snapshot(sink, &mut buf);
-            sinks.push(buf);
-        }
-        crate::checkpoint::Checkpoint { epoch, input_pos, analyzers, nodes, sinks }
     }
 
     /// Restores every analyzer, operator, and sink from a checkpoint taken
@@ -838,23 +808,7 @@ impl Executor {
     /// decode; the executor must then be discarded — state may be partially
     /// restored.
     pub fn restore(&mut self, ckpt: &crate::checkpoint::Checkpoint) -> Result<(), EngineError> {
-        if ckpt.analyzers.len() != self.sources.len()
-            || ckpt.nodes.len() != self.nodes.len()
-            || ckpt.sinks.len() != self.sinks.len()
-        {
-            return Err(EngineError::corrupt(
-                "plan",
-                format!(
-                    "checkpoint shape {}/{}/{} does not match plan {}/{}/{}",
-                    ckpt.analyzers.len(),
-                    ckpt.nodes.len(),
-                    ckpt.sinks.len(),
-                    self.sources.len(),
-                    self.nodes.len(),
-                    self.sinks.len(),
-                ),
-            ));
-        }
+        ckpt.check_shape(self.sources.len(), self.nodes.len(), self.sinks.len())?;
         self.queue.clear();
         for (source, bytes) in self.sources.iter_mut().zip(&ckpt.analyzers) {
             source.analyzer.restore(bytes)?;
@@ -1147,6 +1101,24 @@ mod tests {
         assert_eq!(sampler.per_elem_ns, 100);
         assert_eq!(sampler.charge(None, 3), Duration::from_nanos(300));
         assert_eq!(sampler.per_elem_ns, 100);
+    }
+
+    #[test]
+    fn one_spiky_timed_call_is_not_carried() {
+        let mut sampler = CallSampler::new(0);
+        for _ in 0..4 {
+            sampler.charge(Some(Duration::from_nanos(100 * 8)), 8);
+        }
+        // One timed call at 100 µs per element: charged in full to itself.
+        let spike = Duration::from_micros(100 * 8);
+        assert_eq!(sampler.charge(Some(spike), 8), spike);
+        for _ in 0..126 {
+            assert_eq!(sampler.charge(None, 1), Duration::from_nanos(100));
+            assert_eq!(sampler.per_elem_ns, 100);
+        }
+        // A lasting change of cost is carried once it is the median.
+        sampler.charge(Some(Duration::from_nanos(300 * 8)), 8);
+        assert_eq!(sampler.charge(None, 1), Duration::from_nanos(300));
     }
 
     #[test]

@@ -86,7 +86,7 @@ use std::time::{Duration, Instant};
 use sp_core::{StreamElement, StreamId, Tuple};
 
 use crate::batch::ElementBatch;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{sections, Checkpoint};
 use crate::element::Element;
 use crate::error::EngineError;
 use crate::operator::{Emitter, Operator};
@@ -94,8 +94,8 @@ use crate::ops::Sink;
 use crate::plan::{Executor, PlanBuilder, SinkRef};
 use crate::stats::DegradationStats;
 use crate::telemetry::{
-    add_plan_metrics, merge_recorders, AuditOp, AuditRecord, AuditTrail, FlightRecorder,
-    MetricsRegistry, SpanRecord, SpanRecorder, SpanSheet,
+    add_plan_metrics, plan_sheet, AuditRecord, AuditTrail, FlightRecorder, MetricsRegistry,
+    SpanRecord, SpanRecorder, SpanSheet,
 };
 
 /// Envelopes per channel send: the coordinator buffers this many routed
@@ -1267,25 +1267,15 @@ impl ShardedExecutor {
         self.ensure_started()?;
         // The coordinator *is* the cut point: nothing is in flight
         // between the analyzers and the barrier broadcast below.
-        let mut analyzers = Vec::with_capacity(self.sources.len());
-        for source in &self.sources {
-            let mut buf = Vec::new();
-            source.analyzer.snapshot(&mut buf);
-            analyzers.push(buf);
-        }
-        let sections = self.round_trip(true)?.ok_or_else(|| EngineError::ShardDivergence {
+        let analyzers = sections(&self.sources, |s, buf| s.analyzer.snapshot(buf));
+        let barrier = self.round_trip(true)?.ok_or_else(|| EngineError::ShardDivergence {
             stage: "barrier".to_string(),
             reason: "barrier echo carried no sections".to_string(),
         })?;
-        let nodes = self.canonicalize_nodes(sections)?;
+        let nodes = self.canonicalize_nodes(barrier)?;
         // All deltas before the barrier are applied (seq order), so the
         // canonical sinks are exactly at the cut.
-        let mut sinks = Vec::with_capacity(self.sinks.len());
-        for sink in &self.sinks {
-            let mut buf = Vec::new();
-            Operator::snapshot(sink, &mut buf);
-            sinks.push(buf);
-        }
+        let sinks = sections(&self.sinks, Operator::snapshot);
         Ok(Checkpoint { epoch, input_pos, analyzers, nodes, sinks })
     }
 
@@ -1305,23 +1295,7 @@ impl ShardedExecutor {
                 "restore requires a freshly built sharded executor",
             ));
         }
-        if ckpt.analyzers.len() != self.sources.len()
-            || ckpt.nodes.len() != self.nodes.len()
-            || ckpt.sinks.len() != self.sinks.len()
-        {
-            return Err(EngineError::corrupt(
-                "plan",
-                format!(
-                    "checkpoint shape {}/{}/{} does not match plan {}/{}/{}",
-                    ckpt.analyzers.len(),
-                    ckpt.nodes.len(),
-                    ckpt.sinks.len(),
-                    self.sources.len(),
-                    self.nodes.len(),
-                    self.sinks.len(),
-                ),
-            ));
-        }
+        ckpt.check_shape(self.sources.len(), self.nodes.len(), self.sinks.len())?;
         for (source, bytes) in self.sources.iter_mut().zip(&ckpt.analyzers) {
             source.analyzer.restore(bytes)?;
         }
@@ -1368,17 +1342,9 @@ impl ShardedExecutor {
     /// executor's over the same input (synchronizes first).
     pub fn audit_trail(&mut self) -> AuditTrail {
         let _ = self.sync();
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.audit().cloned()))
-                .chain(
-                    self.canonical_audit.iter().enumerate().map(|(i, rec)| {
-                        (AuditOp::Node(i as u32), rec.enabled().then(|| rec.clone()))
-                    }),
-                ),
+        plan_sheet(
+            self.sources.iter().map(|s| s.analyzer.audit()),
+            self.canonical_audit.iter().map(|r| r.enabled().then_some(r)),
         )
     }
 
@@ -1386,17 +1352,9 @@ impl ShardedExecutor {
     /// executor's over the same input (synchronizes first).
     pub fn span_sheet(&mut self) -> SpanSheet {
         let _ = self.sync();
-        #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
-        merge_recorders(
-            self.sources
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (AuditOp::Source(i as u32), s.analyzer.spans().cloned()))
-                .chain(
-                    self.canonical_spans.iter().enumerate().map(|(i, rec)| {
-                        (AuditOp::Node(i as u32), rec.enabled().then(|| rec.clone()))
-                    }),
-                ),
+        plan_sheet(
+            self.sources.iter().map(|s| s.analyzer.spans()),
+            self.canonical_spans.iter().map(|r| r.enabled().then_some(r)),
         )
     }
 
@@ -1447,17 +1405,6 @@ impl ShardedExecutor {
             self.broadcasts,
         );
         reg
-    }
-
-    /// The metrics snapshot rendered in Prometheus text exposition
-    /// format.
-    pub fn metrics_prometheus(&mut self) -> String {
-        self.metrics().render_prometheus()
-    }
-
-    /// The metrics snapshot rendered as a JSON document.
-    pub fn metrics_json(&mut self) -> String {
-        self.metrics().render_json()
     }
 }
 
@@ -2059,7 +2006,7 @@ mod tests {
         .unwrap();
         exec.push_all(input.iter().cloned()).unwrap();
         exec.finish().unwrap();
-        let text = exec.metrics_prometheus();
+        let text = exec.metrics().render_prometheus();
         assert!(text.contains("sp_shard_count 2"), "{text}");
         assert!(text.contains("sp_shard_routed_total{shard=\"0\"}"), "{text}");
         assert!(text.contains("sp_shard_broadcast_total"), "{text}");

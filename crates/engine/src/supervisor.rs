@@ -1,19 +1,18 @@
 //! Crash supervision: epoch checkpointing, restart, and deterministic
 //! replay with a fail-closed security invariant.
 //!
-//! The supervisor drives a [`SessionExecutor`] — the sequential
-//! [`Executor`] or the key-partitioned
-//! [`ShardedExecutor`](crate::shard::ShardedExecutor) — over a recorded
-//! input, cutting a [`Checkpoint`](crate::Checkpoint) every
-//! `epoch_interval` input elements (the executor is quiescent between
+//! The supervisor drives an [`Engine`] — the sequential executor, or
+//! [`SupervisorConfig::shards`] key-partitioned replicas — over a
+//! recorded input, cutting a [`Checkpoint`](crate::Checkpoint) every
+//! `epoch_interval` input elements (the engine is quiescent between
 //! pushes, so every boundary is a consistent cut) and persisting it
 //! through a [`CheckpointStore`]. When the pipeline dies — an operator
 //! reports an [`EngineError`], an injected kill simulates a crash, or a
 //! shard worker dies under a checkpoint barrier — the supervisor rebuilds
-//! the plan from its builder factory, restores the last durable
+//! the engine from its builder factory, restores the last durable
 //! checkpoint, and replays the input from the checkpoint's offset.
-//! Checkpoints are canonical across shard counts, so a sharded session
-//! may recover at a different width than it crashed at.
+//! Checkpoints are canonical across shard counts, so sequential and
+//! sharded runs cut the same bytes and one loop supervises both.
 //!
 //! **Recovery invariant** (the property the chaos suite asserts): for any
 //! kill point, the union of tuples released before the kill and tuples
@@ -42,98 +41,12 @@
 
 use sp_core::{StreamElement, StreamId};
 
-use crate::checkpoint::{Checkpoint, CheckpointStore};
+use crate::checkpoint::CheckpointStore;
+use crate::engine::Engine;
 use crate::error::EngineError;
-use crate::plan::{Executor, PlanBuilder};
-use crate::shard::ShardedExecutor;
+use crate::plan::PlanBuilder;
 use crate::stats::DegradationStats;
 use crate::telemetry::{AuditEvent, AuditOp, AuditRecord, AuditTrail, FlightRecorder, NO_TUPLE};
-
-/// The executor surface crash supervision needs: feed input, cut
-/// checkpoints at quiescent points, and restore a rebuilt instance from a
-/// durable cut. Implemented by the sequential [`Executor`] and the
-/// key-partitioned [`ShardedExecutor`], so one supervision loop covers
-/// both — a sharded session recovers (and re-shards) through exactly the
-/// same epoch/replay machinery as a sequential one.
-pub trait SessionExecutor {
-    /// Feeds one stream element.
-    ///
-    /// # Errors
-    ///
-    /// An error is a pipeline death: the supervisor discards this
-    /// instance and recovers from the last durable checkpoint.
-    fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError>;
-
-    /// Flushes end-of-stream work.
-    ///
-    /// # Errors
-    ///
-    /// Treated as a death, like [`SessionExecutor::push`].
-    fn finish(&mut self) -> Result<(), EngineError>;
-
-    /// Cuts a canonical checkpoint at the current (quiescent) point.
-    ///
-    /// # Errors
-    ///
-    /// A sharded executor can fail the cut when a shard worker died;
-    /// the supervisor treats that as a death, not a durability failure.
-    fn checkpoint(&mut self, epoch: u64, input_pos: u64) -> Result<Checkpoint, EngineError>;
-
-    /// Restores a freshly built instance from a checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// Fail-closed: any decode error discards the instance.
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), EngineError>;
-
-    /// Arms per-operator flight recorders (0 disables).
-    fn set_audit(&mut self, capacity: usize);
-
-    /// Arms sp-trace span recorders (0 disables).
-    fn set_spans(&mut self, capacity: usize);
-}
-
-impl SessionExecutor for Executor {
-    fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        Executor::push(self, stream, elem)
-    }
-    fn finish(&mut self) -> Result<(), EngineError> {
-        Executor::finish(self)
-    }
-    fn checkpoint(&mut self, epoch: u64, input_pos: u64) -> Result<Checkpoint, EngineError> {
-        Ok(Executor::checkpoint(self, epoch, input_pos))
-    }
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), EngineError> {
-        Executor::restore(self, ckpt)
-    }
-    fn set_audit(&mut self, capacity: usize) {
-        Executor::set_audit(self, capacity);
-    }
-    fn set_spans(&mut self, capacity: usize) {
-        Executor::set_spans(self, capacity);
-    }
-}
-
-impl SessionExecutor for ShardedExecutor {
-    fn push(&mut self, stream: StreamId, elem: StreamElement) -> Result<(), EngineError> {
-        ShardedExecutor::push(self, stream, elem)
-    }
-    fn finish(&mut self) -> Result<(), EngineError> {
-        ShardedExecutor::finish(self)
-    }
-    fn checkpoint(&mut self, epoch: u64, input_pos: u64) -> Result<Checkpoint, EngineError> {
-        ShardedExecutor::checkpoint(self, epoch, input_pos)
-    }
-    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), EngineError> {
-        ShardedExecutor::restore(self, ckpt)
-    }
-    fn set_audit(&mut self, capacity: usize) {
-        ShardedExecutor::set_audit(self, capacity);
-    }
-    fn set_spans(&mut self, capacity: usize) {
-        ShardedExecutor::set_spans(self, capacity);
-    }
-}
 
 /// Supervision parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +65,9 @@ pub struct SupervisorConfig {
     /// sp-trace span-recorder capacity armed on every rebuilt executor.
     /// `0` disables span recording and enforcement-lag tracking.
     pub span_capacity: usize,
+    /// Key-partitioned shard replicas, as in `Dsms::shards`: `0` and `1`
+    /// run the sequential executor, `n ≥ 2` a sharded one.
+    pub shards: usize,
 }
 
 /// Default checkpoint cadence: frequent enough that replay stays short,
@@ -167,6 +83,7 @@ impl Default for SupervisorConfig {
             backoff_cap_ms: 1_000,
             audit_capacity: 0,
             span_capacity: 0,
+            shards: 0,
         }
     }
 }
@@ -211,17 +128,14 @@ impl RecoveryReport {
     }
 }
 
-/// The result of a supervised run: the final executor (for sinks and
+/// The result of a supervised run: the final engine (for sinks and
 /// per-operator stats) and the recovery report. On a terminal fail-closed
 /// exit, `failure` carries [`EngineError::RecoveryExhausted`] and the
-/// executor holds the state reached before the final death — its sinks
+/// engine holds the state reached before the final death — its sinks
 /// contain only releases that already passed the security shield.
-///
-/// The executor type defaults to the sequential [`Executor`];
-/// [`run_supervised_sharded`] produces a `SupervisedRun<ShardedExecutor>`.
-pub struct SupervisedRun<E = Executor> {
-    /// The executor after the run (recovered or terminally failed).
-    pub executor: E,
+pub struct SupervisedRun {
+    /// The engine after the run (recovered or terminally failed).
+    pub executor: Engine,
     /// Recovery counters and per-death diagnostics.
     pub report: RecoveryReport,
     /// `None` on success; the terminal error otherwise.
@@ -232,39 +146,15 @@ pub struct SupervisedRun<E = Executor> {
     pub audit: FlightRecorder,
 }
 
-impl<E> SupervisedRun<E> {
+impl SupervisedRun {
     /// Whether the run processed the whole input.
     #[must_use]
     pub fn completed(&self) -> bool {
         self.failure.is_none()
     }
-}
 
-impl SupervisedRun {
     /// Engine-wide degradation stats: the analyzers' fail-closed counters
     /// plus this run's recovery counters.
-    #[must_use]
-    pub fn degradation(&self) -> DegradationStats {
-        let mut stats = self.executor.degradation();
-        self.report.absorb_into(&mut stats);
-        stats
-    }
-
-    /// The full audit trail: the final executor's per-operator sections
-    /// plus the supervisor's own restore / fail-closed section.
-    #[must_use]
-    pub fn audit_trail(&self) -> AuditTrail {
-        let mut trail = self.executor.audit_trail();
-        if self.audit.enabled() {
-            trail.push_section(AuditOp::Supervisor, self.audit.clone());
-        }
-        trail
-    }
-}
-
-impl SupervisedRun<ShardedExecutor> {
-    /// Engine-wide degradation stats (the sharded executor synchronizes
-    /// with its workers first, hence `&mut`).
     #[must_use]
     pub fn degradation(&mut self) -> DegradationStats {
         let mut stats = self.executor.degradation();
@@ -272,8 +162,8 @@ impl SupervisedRun<ShardedExecutor> {
         stats
     }
 
-    /// The full audit trail: the canonical (merged) per-operator sections
-    /// plus the supervisor's own restore / fail-closed section.
+    /// The full audit trail: the final engine's canonical per-operator
+    /// sections plus the supervisor's own restore / fail-closed section.
     #[must_use]
     pub fn audit_trail(&mut self) -> AuditTrail {
         let mut trail = self.executor.audit_trail();
@@ -290,20 +180,25 @@ impl SupervisedRun<ShardedExecutor> {
 /// behind — only the durable checkpoint store survives).
 pub type KillOracle<'a> = dyn FnMut(u64, u64) -> bool + 'a;
 
-/// Runs a plan under crash supervision.
+/// Runs a plan under crash supervision on the engine
+/// [`SupervisorConfig::shards`] selects.
 ///
 /// `build` must produce the *same* plan each call (same sources, operator
 /// order, sinks, and configuration): checkpoint sections are positional.
 /// `input` is the recorded stream the sources consume; replay after a
-/// restore re-reads it from the checkpoint's offset.
+/// restore re-reads it from the checkpoint's offset. A sharded run cuts
+/// the same checkpoints as a sequential one, treats a cut that fails
+/// because a shard worker died as a pipeline death, and may restore a
+/// cut taken at another width.
 ///
 /// # Errors
 ///
-/// Fails only when the checkpoint store rejects a write — durability loss
-/// is not survivable. Pipeline deaths (operator errors, injected kills,
-/// corrupt checkpoints) are handled by restarting; after `max_restarts`
-/// the run returns `Ok` with [`SupervisedRun::failure`] set to
-/// [`EngineError::RecoveryExhausted`].
+/// Fails when the plan cannot run sharded
+/// ([`EngineError::ShardUnsupported`]) or when the checkpoint store
+/// rejects a write — durability loss is not survivable. Pipeline deaths
+/// (operator errors, injected kills, corrupt checkpoints) are handled by
+/// restarting; after `max_restarts` the run returns `Ok` with
+/// [`SupervisedRun::failure`] set to [`EngineError::RecoveryExhausted`].
 pub fn run_supervised(
     mut build: impl FnMut() -> PlanBuilder,
     input: &[(StreamId, StreamElement)],
@@ -311,49 +206,8 @@ pub fn run_supervised(
     store: &mut dyn CheckpointStore,
     kill: &mut KillOracle<'_>,
 ) -> Result<SupervisedRun, EngineError> {
-    supervise(&mut || Ok(build().build()), input, config, store, kill)
-}
-
-/// Runs a plan under crash supervision on a key-partitioned
-/// [`ShardedExecutor`] with `shards` replicas.
-///
-/// Identical contract to [`run_supervised`] — same epoch cadence, same
-/// recovery invariant, same fail-closed terminal state — except the
-/// pipeline under supervision is the sharded one, checkpoints span all
-/// shards (canonical, so they interchange with sequential checkpoints),
-/// and a checkpoint cut that fails because a shard worker died counts as
-/// a pipeline death and triggers recovery. Restores re-shard: the
-/// rebuilt executor may even run at a different shard count than the one
-/// that cut the checkpoint.
-///
-/// # Errors
-///
-/// Fails when the plan cannot run sharded
-/// ([`EngineError::ShardUnsupported`]) or when the checkpoint store
-/// rejects a write; deaths are handled by restarting, as in
-/// [`run_supervised`].
-pub fn run_supervised_sharded(
-    mut build: impl FnMut() -> PlanBuilder,
-    shards: usize,
-    input: &[(StreamId, StreamElement)],
-    config: &SupervisorConfig,
-    store: &mut dyn CheckpointStore,
-    kill: &mut KillOracle<'_>,
-) -> Result<SupervisedRun<ShardedExecutor>, EngineError> {
-    supervise(&mut || ShardedExecutor::new(&mut build, shards), input, config, store, kill)
-}
-
-/// The generic supervision loop behind [`run_supervised`] and
-/// [`run_supervised_sharded`].
-fn supervise<E: SessionExecutor>(
-    make: &mut dyn FnMut() -> Result<E, EngineError>,
-    input: &[(StreamId, StreamElement)],
-    config: &SupervisorConfig,
-    store: &mut dyn CheckpointStore,
-    kill: &mut KillOracle<'_>,
-) -> Result<SupervisedRun<E>, EngineError> {
-    let fresh = |make: &mut dyn FnMut() -> Result<E, EngineError>| -> Result<E, EngineError> {
-        let mut exec = make()?;
+    let mut fresh = || -> Result<Engine, EngineError> {
+        let mut exec = Engine::new(&mut build, config.shards)?;
         exec.set_audit(config.audit_capacity);
         exec.set_spans(config.span_capacity);
         Ok(exec)
@@ -361,7 +215,7 @@ fn supervise<E: SessionExecutor>(
     let interval = config.epoch_interval.max(1);
     let mut report = RecoveryReport::default();
     let mut audit = FlightRecorder::new(config.audit_capacity);
-    let mut exec = fresh(make)?;
+    let mut exec = fresh()?;
     let mut epoch = 0u64;
     let mut pos = 0usize;
     let mut death: Option<EngineError> = None;
@@ -449,7 +303,7 @@ fn supervise<E: SessionExecutor>(
         report.backoff_ms.push(config.backoff_ms(report.restart_attempts));
 
         let crash_pos = pos as u64;
-        exec = fresh(make)?;
+        exec = fresh()?;
         match store.load_latest() {
             Some(ckpt) => match exec.restore(&ckpt) {
                 Ok(()) => {
@@ -472,7 +326,7 @@ fn supervise<E: SessionExecutor>(
                     // that passed CRC but fails decode keeps failing, and
                     // the restart budget bounds the loop).
                     report.deaths.push(e.to_string());
-                    exec = fresh(make)?;
+                    exec = fresh()?;
                     epoch = 0;
                     pos = 0;
                     report.epochs_replayed += crash_pos.div_ceil(interval);
@@ -550,7 +404,7 @@ mod tests {
         input
     }
 
-    fn released(exec: &Executor) -> Vec<u64> {
+    fn released(exec: &mut Engine) -> Vec<u64> {
         // SinkRefs are positional, so one taken from an identically-built
         // plan addresses the same sink in every builder() executor.
         let (_, sink) = builder_with_sink();
@@ -558,12 +412,10 @@ mod tests {
     }
 
     fn baseline(input: &[(StreamId, StreamElement)]) -> Vec<u64> {
-        let mut exec = builder().build();
-        for (s, e) in input {
-            exec.push(*s, e.clone()).unwrap();
-        }
+        let mut exec = Engine::new(builder, 0).unwrap();
+        exec.push_all(input.iter().cloned()).unwrap();
         exec.finish().unwrap();
-        released(&exec)
+        released(&mut exec)
     }
 
     #[test]
@@ -571,9 +423,9 @@ mod tests {
         let input = workload(100);
         let mut store = MemStore::default();
         let cfg = SupervisorConfig { epoch_interval: 16, ..Default::default() };
-        let run = run_supervised(builder, &input, &cfg, &mut store, &mut |_, _| false).unwrap();
+        let mut run = run_supervised(builder, &input, &cfg, &mut store, &mut |_, _| false).unwrap();
         assert!(run.completed());
-        assert_eq!(released(&run.executor), baseline(&input));
+        assert_eq!(released(&mut run.executor), baseline(&input));
         assert!(run.report.checkpoints_taken > 2);
         assert_eq!(run.report.restart_attempts, 0);
         assert!(store.count() as u64 >= run.report.checkpoints_taken);
@@ -594,12 +446,12 @@ mod tests {
                 }
                 false
             };
-            let run = run_supervised(builder, &input, &cfg, &mut store, &mut oracle).unwrap();
+            let mut run = run_supervised(builder, &input, &cfg, &mut store, &mut oracle).unwrap();
             assert!(run.completed(), "kill at {kill_at}");
             // Deterministic replay: the recovered run releases, from its
             // restore point on, exactly the baseline's suffix — and the
             // final counters match an uninterrupted run.
-            let got = released(&run.executor);
+            let got = released(&mut run.executor);
             assert!(base.ends_with(&got), "kill at {kill_at}: {got:?} not a suffix of baseline");
             assert_eq!(run.report.restart_attempts, 1);
             assert_eq!(run.report.checkpoints_restored, 1);
@@ -613,7 +465,7 @@ mod tests {
         let cfg = SupervisorConfig { epoch_interval: 8, ..Default::default() };
 
         let mut clean_store = MemStore::default();
-        let clean =
+        let mut clean =
             run_supervised(builder, &input, &cfg, &mut clean_store, &mut |_, _| false).unwrap();
 
         let mut store = MemStore::default();
@@ -625,14 +477,14 @@ mod tests {
             }
             false
         };
-        let run = run_supervised(builder, &input, &cfg, &mut store, &mut oracle).unwrap();
+        let mut run = run_supervised(builder, &input, &cfg, &mut store, &mut oracle).unwrap();
         assert!(run.completed());
 
         // Policy/operator state is byte-identical once recovered — sinks
         // excepted (their snapshots are counters of what each life
         // delivered, and the recovered life starts over).
-        let clean_final = clean.executor.checkpoint(0, 0);
-        let run_final = run.executor.checkpoint(0, 0);
+        let clean_final = clean.executor.checkpoint(0, 0).unwrap();
+        let run_final = run.executor.checkpoint(0, 0).unwrap();
         assert_eq!(clean_final.analyzers, run_final.analyzers);
         assert_eq!(clean_final.nodes, run_final.nodes);
     }
@@ -643,7 +495,8 @@ mod tests {
         let mut store = MemStore::default();
         let cfg = SupervisorConfig { epoch_interval: 16, max_restarts: 3, ..Default::default() };
         // Always dies at element 20 — recovery can never get past it.
-        let run = run_supervised(builder, &input, &cfg, &mut store, &mut |_, p| p == 20).unwrap();
+        let mut run =
+            run_supervised(builder, &input, &cfg, &mut store, &mut |_, p| p == 20).unwrap();
         assert!(!run.completed());
         assert!(matches!(run.failure, Some(EngineError::RecoveryExhausted { attempts: 3, .. })));
         assert_eq!(run.report.restart_attempts, 4, "budget + the final probe");
@@ -651,7 +504,7 @@ mod tests {
         // Fail-closed: whatever was released is a prefix-consistent subset
         // of the baseline.
         let base = baseline(&input);
-        let got = released(&run.executor);
+        let got = released(&mut run.executor);
         assert!(got.iter().all(|t| base.contains(t)));
         // Backoff doubles then caps.
         assert_eq!(
@@ -688,7 +541,7 @@ mod tests {
         let shedded = || shedded_builder_with_sink().0;
 
         let mut clean_store = MemStore::default();
-        let clean =
+        let mut clean =
             run_supervised(shedded, &input, &cfg, &mut clean_store, &mut |_, _| false).unwrap();
         let clean_d = clean.executor.degradation();
         assert!(clean_d.shed_tuples > 0, "workload must actually overload the shedder");
@@ -703,7 +556,7 @@ mod tests {
             }
             false
         };
-        let run = run_supervised(shedded, &input, &cfg, &mut store, &mut oracle).unwrap();
+        let mut run = run_supervised(shedded, &input, &cfg, &mut store, &mut oracle).unwrap();
         assert!(run.completed());
 
         // The shedder's virtual queue, rng, ladder, and counters were
@@ -741,42 +594,66 @@ mod tests {
     #[test]
     fn sharded_run_supervised_recovers_like_sequential() {
         let input = workload(100);
-        let cfg = SupervisorConfig { epoch_interval: 16, ..Default::default() };
+        let seq_cfg =
+            SupervisorConfig { epoch_interval: 16, audit_capacity: 4096, ..Default::default() };
         let shield_only = || shield_only_builder_with_sink().0;
-
-        // Sequential baseline on the same plan.
-        let mut exec = shield_only().build();
-        for (s, e) in &input {
-            exec.push(*s, e.clone()).unwrap();
-        }
-        exec.finish().unwrap();
         let (_, sink) = shield_only_builder_with_sink();
-        let base: Vec<u64> = exec.sink(sink).tuples().map(|t| t.tid.raw()).collect();
-
-        for kill_at in [5u64, 33, 64] {
-            let mut store = MemStore::default();
+        let kill_once = |kill_at: u64| {
             let mut killed = false;
-            let mut oracle = move |_e: u64, p: u64| {
+            move |_e: u64, p: u64| {
                 if !killed && p == kill_at {
                     killed = true;
                     return true;
                 }
                 false
-            };
-            let mut run =
-                run_supervised_sharded(shield_only, 4, &input, &cfg, &mut store, &mut oracle)
+            }
+        };
+
+        // Sequential baseline on the same plan.
+        let mut exec = Engine::new(shield_only, 0).unwrap();
+        exec.push_all(input.iter().cloned()).unwrap();
+        exec.finish().unwrap();
+        let base: Vec<u64> = exec.sink(sink).tuples().map(|t| t.tid.raw()).collect();
+
+        for kill_at in [5u64, 33, 64] {
+            let mut store = MemStore::default();
+            let mut seq =
+                run_supervised(shield_only, &input, &seq_cfg, &mut store, &mut kill_once(kill_at))
                     .unwrap();
-            assert!(run.completed(), "kill at {kill_at}");
-            assert_eq!(run.report.restart_attempts, 1);
-            assert_eq!(run.report.checkpoints_restored, 1);
-            let (_, sink) = shield_only_builder_with_sink();
-            let got: Vec<u64> = run.executor.sink(sink).tuples().map(|t| t.tid.raw()).collect();
+            assert!(seq.completed(), "kill at {kill_at}");
+            let seq_released: Vec<u64> =
+                seq.executor.sink(sink).tuples().map(|t| t.tid.raw()).collect();
+            assert!(base.ends_with(&seq_released), "kill at {kill_at}: sequential diverged");
+            let seq_trail = seq.audit_trail();
             assert!(
-                base.ends_with(&got),
-                "kill at {kill_at}: sharded recovery diverged from sequential baseline"
+                seq_trail.records().any(|(_, r)| matches!(r.event, AuditEvent::Restored { .. })),
+                "kill at {kill_at}: no Restored record"
             );
-            let d = run.degradation();
-            assert_eq!(d.checkpoints_restored, 1);
+            let seq_final = seq.executor.checkpoint(0, 0).unwrap();
+
+            for shards in [2usize, 4] {
+                let cfg = SupervisorConfig { shards, ..seq_cfg };
+                let mut store = MemStore::default();
+                let mut run =
+                    run_supervised(shield_only, &input, &cfg, &mut store, &mut kill_once(kill_at))
+                        .unwrap();
+                let at = format!("kill at {kill_at}, {shards} shards");
+                assert_eq!(run.executor.shards(), shards, "{at}");
+                assert!(run.completed(), "{at}");
+                assert_eq!(run.report.restart_attempts, 1, "{at}");
+                assert_eq!(run.report.checkpoints_restored, 1, "{at}");
+                let got: Vec<u64> = run.executor.sink(sink).tuples().map(|t| t.tid.raw()).collect();
+                assert_eq!(got, seq_released, "{at}: released ids diverged");
+                assert_eq!(
+                    run.audit_trail().encode_to_vec(),
+                    seq_trail.encode_to_vec(),
+                    "{at}: audit trail diverged"
+                );
+                let fin = run.executor.checkpoint(0, 0).unwrap();
+                assert_eq!(fin.analyzers, seq_final.analyzers, "{at}: analyzer state diverged");
+                assert_eq!(fin.nodes, seq_final.nodes, "{at}: operator state diverged");
+                assert_eq!(run.degradation().checkpoints_restored, 1, "{at}");
+            }
         }
     }
 
@@ -786,9 +663,9 @@ mod tests {
         // delays sp propagation mid-plan, so the sharded builder refuses
         // it fail-closed before any input is consumed.
         let input = workload(10);
-        let cfg = SupervisorConfig::default();
+        let cfg = SupervisorConfig { shards: 2, ..Default::default() };
         let mut store = MemStore::default();
-        let got = run_supervised_sharded(builder, 2, &input, &cfg, &mut store, &mut |_, _| false);
+        let got = run_supervised(builder, &input, &cfg, &mut store, &mut |_, _| false);
         assert!(matches!(got, Err(EngineError::ShardUnsupported { .. })));
     }
 

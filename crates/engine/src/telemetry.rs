@@ -14,7 +14,7 @@
 //! 2. **Metrics registry** ([`MetricsRegistry`]) — log₂-bucket
 //!    [`Histogram`]s (per-operator latency, queue depth) plus named
 //!    counters, with associative order-insensitive merge, rendered as
-//!    Prometheus text exposition or a JSON snapshot.
+//!    Prometheus text exposition.
 //! 3. **Causal span plane — sp-trace** ([`SpanRecorder`] / [`SpanSheet`])
 //!    — a bounded ring of [`SpanRecord`]s per operator, one per causal
 //!    hop of an element (wire ingress, analyzer resolution, shield
@@ -796,22 +796,25 @@ impl Sheet<SpanRecord> {
     }
 }
 
-/// Merges per-stage rings — gathered from a sequential executor or
-/// shard replicas — into one canonically ordered sheet. `None` sections
-/// (recorder disabled at that stage) are omitted, *not* added empty,
-/// which is what keeps a run with telemetry armed encoding identically
-/// however it executed.
-///
-/// Every assembly path in the engine funnels through this function so
-/// the omit-disabled rule and the canonical section order live in
-/// exactly one place.
-pub fn merge_recorders<R: Record>(
-    sections: impl IntoIterator<Item = (AuditOp, Option<Ring<R>>)>,
+/// Assembles a plan-wide sheet in canonical section order: the
+/// analyzers' rings (by source index), then the operators' (by node
+/// index). A `None` ring (recorder disabled) adds no section rather than
+/// an empty one, so a plan encodes identically whichever executor ran
+/// it. Both executors' `audit_trail` and `span_sheet` assemble here.
+pub(crate) fn plan_sheet<'a, R: Record + 'a>(
+    analyzers: impl IntoIterator<Item = Option<&'a Ring<R>>>,
+    nodes: impl IntoIterator<Item = Option<&'a Ring<R>>>,
 ) -> Sheet<R> {
+    #[allow(clippy::cast_possible_truncation)] // plan slots fit u32
+    let sections = analyzers
+        .into_iter()
+        .enumerate()
+        .map(|(i, ring)| (AuditOp::Source(i as u32), ring))
+        .chain(nodes.into_iter().enumerate().map(|(i, ring)| (AuditOp::Node(i as u32), ring)));
     let mut sheet = Sheet::new();
     for (op, ring) in sections {
         if let Some(ring) = ring {
-            sheet.push_section(op, ring);
+            sheet.push_section(op, ring.clone());
         }
     }
     sheet
@@ -1090,7 +1093,7 @@ impl Histogram {
 type SeriesKey = (String, String);
 
 /// Snapshot registry of counters and histograms, rendered as Prometheus
-/// text exposition or a JSON document.
+/// text exposition.
 ///
 /// Merging two registries ([`MetricsRegistry::merge`]) sums counters and
 /// merges histograms key-wise; rendering sorts series, so the output is
@@ -1269,61 +1272,6 @@ impl MetricsRegistry {
                 ));
             }
         }
-        out
-    }
-
-    /// Renders the registry as a JSON document (hand-rolled; the
-    /// workspace vendors no serde). Histograms are summarized as
-    /// count/sum/mean plus p50/p90/p99 from the log buckets.
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let mut counters: Vec<&(SeriesKey, u64)> = self.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut hists: Vec<&(SeriesKey, Histogram)> = self.histograms.iter().collect();
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
-
-        let mut out = String::from("{\n  \"counters\": [\n");
-        for (i, ((family, labels), v)) in counters.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"labels\": \"{}\", \"value\": {v}}}{}\n",
-                esc(family),
-                esc(labels),
-                if i + 1 == counters.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n  \"histograms\": [\n");
-        for (i, ((family, labels), h)) in hists.iter().enumerate() {
-            out.push_str(&format!(
-                concat!(
-                    "    {{\"name\": \"{}\", \"labels\": \"{}\", \"count\": {}, ",
-                    "\"sum\": {}, \"mean\": {:.1}, \"p50\": {}, \"p90\": {}, ",
-                    "\"p99\": {}}}{}\n"
-                ),
-                esc(family),
-                esc(labels),
-                h.count(),
-                h.sum(),
-                h.mean(),
-                h.percentile(50.0),
-                h.percentile(90.0),
-                h.percentile(99.0),
-                if i + 1 == hists.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -1538,8 +1486,6 @@ mod tests {
         assert!(text.contains("sp_operator_latency_ns_bucket{op=\"ss\",le=\"+Inf\"} 2"));
         assert!(text.contains("sp_operator_latency_ns_count{op=\"ss\"} 2"));
         assert!(text.contains("sp_tuples_released_total{op=\"ss\"} 2"));
-        let json = m.render_json();
-        assert!(json.contains("\"p99\""));
     }
 
     #[test]

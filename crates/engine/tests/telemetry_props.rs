@@ -235,6 +235,5 @@ proptest! {
             backward.merge(w);
         }
         prop_assert_eq!(forward.render_prometheus(), backward.render_prometheus());
-        prop_assert_eq!(forward.render_json(), backward.render_json());
     }
 }

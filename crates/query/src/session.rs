@@ -24,7 +24,7 @@ use sp_core::{
     QueryId, RoleId, RoleSet, Schema, SecurityPunctuation, StreamElement, StreamId, SubjectId,
     Timestamp,
 };
-use sp_engine::{Executor, PlanBuilder, ShardedExecutor, SinkRef};
+use sp_engine::{Engine, PlanBuilder, SinkRef};
 
 use crate::ast::Statement;
 use crate::catalog::Catalog;
@@ -74,7 +74,7 @@ pub struct Dsms {
     /// security audit trail (a bounded flight recorder on each analyzer
     /// and shield) and the per-operator metrics histograms; read them
     /// back via [`RunningDsms::audit_trail`] and
-    /// [`RunningDsms::metrics_prometheus`] / [`RunningDsms::metrics_json`].
+    /// [`RunningDsms::metrics_prometheus`].
     pub telemetry: Option<sp_engine::TelemetryConfig>,
     /// Key-partitioned shard replicas per started session. `0` (default)
     /// and `1` run the sequential executor; `n ≥ 2` makes
@@ -244,12 +244,18 @@ impl Dsms {
     /// the sink. Released tuples are unaffected — only policy traffic
     /// between operators grows.
     pub fn try_start(&self) -> Result<RunningDsms, sp_engine::EngineError> {
-        if self.shards <= 1 {
-            return Ok(self.start());
-        }
-        let exec = ShardedExecutor::new(|| self.build_plan(true).0, self.shards)?;
-        let (_, sinks) = self.build_plan(true);
-        Ok(self.running(Engine::Sharded(exec), sinks))
+        // Every build yields the same sink map; keep the last one, so the
+        // sequential path builds the plan exactly once.
+        let mut sinks = HashMap::new();
+        let engine = Engine::new(
+            || {
+                let (builder, s) = self.build_plan(self.shards > 1);
+                sinks = s;
+                builder
+            },
+            self.shards,
+        )?;
+        Ok(self.running(engine, sinks))
     }
 
     /// Restarts the DSMS from the latest durable checkpoint in `store`,
@@ -278,21 +284,11 @@ impl Dsms {
     ) -> Result<RunningDsms, sp_engine::EngineError> {
         let mut running = self.try_start()?;
         if let Some(ckpt) = store.load_latest() {
-            match &mut running.engine {
-                Engine::Sequential(exec) => exec.restore(&ckpt)?,
-                Engine::Sharded(exec) => exec.restore(&ckpt)?,
-            }
+            running.engine.restore(&ckpt)?;
             running.input_pos = ckpt.input_pos;
         }
         Ok(running)
     }
-}
-
-/// The executor behind a running session: one sequential lane, or `n`
-/// key-partitioned shard replicas behind a deterministic exchange.
-enum Engine {
-    Sequential(Executor),
-    Sharded(ShardedExecutor),
 }
 
 /// A running DSMS instance.
@@ -343,19 +339,13 @@ impl RunningDsms {
             let is_tuple = matches!(elem, StreamElement::Tuple(_));
             ac.admit(stream, is_tuple, elem.ts())?;
         }
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.push(stream, elem),
-            Engine::Sharded(exec) => exec.push(stream, elem),
-        }
+        self.engine.push(stream, elem)
     }
 
     /// How many shard replicas this session runs on (1 for sequential).
     #[must_use]
     pub fn shards(&self) -> usize {
-        match &self.engine {
-            Engine::Sequential(_) => 1,
-            Engine::Sharded(exec) => exec.shards(),
-        }
+        self.engine.shards()
     }
 
     /// Degradation counters for the whole session: every operator's
@@ -363,10 +353,7 @@ impl RunningDsms {
     /// the ingestion admission controller's rejections.
     #[must_use]
     pub fn degradation(&mut self) -> sp_engine::DegradationStats {
-        let mut d = match &mut self.engine {
-            Engine::Sequential(exec) => exec.degradation(),
-            Engine::Sharded(exec) => exec.degradation(),
-        };
+        let mut d = self.engine.degradation();
         if let Some(ac) = &self.admission {
             d.absorb(&ac.degradation());
         }
@@ -394,10 +381,7 @@ impl RunningDsms {
         epoch: u64,
         store: &mut dyn sp_engine::CheckpointStore,
     ) -> Result<(), sp_engine::EngineError> {
-        let ckpt = match &mut self.engine {
-            Engine::Sequential(exec) => exec.checkpoint(epoch, self.input_pos),
-            Engine::Sharded(exec) => exec.checkpoint(epoch, self.input_pos)?,
-        };
+        let ckpt = self.engine.checkpoint(epoch, self.input_pos)?;
         store.save(&ckpt)
     }
 
@@ -414,11 +398,7 @@ impl RunningDsms {
     /// Panics if the query id was not registered before `start`.
     #[must_use]
     pub fn results(&mut self, query: QueryId) -> &sp_engine::Sink {
-        let sink = self.sinks[&query];
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.sink(sink),
-            Engine::Sharded(exec) => exec.sink(sink),
-        }
+        self.engine.sink(self.sinks[&query])
     }
 
     /// The session's security audit trail: every release, suppression,
@@ -426,10 +406,7 @@ impl RunningDsms {
     /// Empty unless [`Dsms::telemetry`] was set before `start`.
     #[must_use]
     pub fn audit_trail(&mut self) -> sp_engine::AuditTrail {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.audit_trail(),
-            Engine::Sharded(exec) => exec.audit_trail(),
-        }
+        self.engine.audit_trail()
     }
 
     /// The session's sp-trace span sheet: the causal spans recorded by
@@ -438,10 +415,7 @@ impl RunningDsms {
     /// before `start`.
     #[must_use]
     pub fn span_sheet(&mut self) -> sp_engine::SpanSheet {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.span_sheet(),
-            Engine::Sharded(exec) => exec.span_sheet(),
-        }
+        self.engine.span_sheet()
     }
 
     /// The session's metrics registry: per-operator logical counters
@@ -449,10 +423,7 @@ impl RunningDsms {
     /// series describing the shard layout when sharded.
     #[must_use]
     pub fn metrics(&mut self) -> sp_engine::MetricsRegistry {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.metrics(),
-            Engine::Sharded(exec) => exec.metrics(),
-        }
+        self.engine.metrics()
     }
 
     /// The session's metrics snapshot in Prometheus text exposition
@@ -460,19 +431,7 @@ impl RunningDsms {
     /// [`Dsms::telemetry`] enabled metrics collection).
     #[must_use]
     pub fn metrics_prometheus(&mut self) -> String {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.metrics_prometheus(),
-            Engine::Sharded(exec) => exec.metrics_prometheus(),
-        }
-    }
-
-    /// The session's metrics snapshot as a JSON document.
-    #[must_use]
-    pub fn metrics_json(&mut self) -> String {
-        match &mut self.engine {
-            Engine::Sequential(exec) => exec.metrics_json(),
-            Engine::Sharded(exec) => exec.metrics_json(),
-        }
+        self.engine.metrics().render_prometheus()
     }
 }
 

@@ -290,13 +290,13 @@ fn supervised_builder() -> (PlanBuilder, Vec<sp_engine::SinkRef>) {
 
 /// Everything the plan's sinks released, tagged by sink so the subset
 /// check distinguishes the two queries.
-fn supervised_released(exec: &sp_engine::Executor) -> HashSet<String> {
+fn supervised_released(exec: &mut sp_engine::Engine) -> HashSet<String> {
     let (_, sinks) = supervised_builder();
-    sinks
-        .iter()
-        .enumerate()
-        .flat_map(|(i, s)| exec.sink(*s).tuples().map(move |t| format!("{i}:{}", t.tid.raw())))
-        .collect()
+    let mut released = HashSet::new();
+    for (i, s) in sinks.iter().enumerate() {
+        released.extend(exec.sink(*s).tuples().map(|t| format!("{i}:{}", t.tid.raw())));
+    }
+    released
 }
 
 /// The uninterrupted run: its released set and final operator state.
@@ -305,7 +305,7 @@ fn supervised_baseline(
     cfg: &sp_engine::SupervisorConfig,
 ) -> (HashSet<String>, sp_engine::Checkpoint) {
     let mut store = sp_engine::MemStore::default();
-    let clean = sp_engine::run_supervised(
+    let mut clean = sp_engine::run_supervised(
         || supervised_builder().0,
         input,
         cfg,
@@ -314,9 +314,9 @@ fn supervised_baseline(
     )
     .expect("store never fails");
     assert!(clean.completed(), "clean supervised run must complete");
-    let released = supervised_released(&clean.executor);
+    let released = supervised_released(&mut clean.executor);
     assert!(!released.is_empty(), "clean run must release something");
-    (released, clean.executor.checkpoint(0, 0))
+    (released, clean.executor.checkpoint(0, 0).expect("sequential cut"))
 }
 
 #[test]
@@ -345,7 +345,7 @@ fn recovery_upholds_subset_invariant_across_random_epoch_kills() {
             }
             false
         };
-        let run = sp_engine::run_supervised(
+        let mut run = sp_engine::run_supervised(
             || supervised_builder().0,
             &input,
             &cfg,
@@ -358,7 +358,7 @@ fn recovery_upholds_subset_invariant_across_random_epoch_kills() {
         assert!(run.report.epochs_replayed <= 1, "kill at epoch {ke}: replay stays bounded");
 
         // 1. Recovery subset: nothing released that the clean run withheld.
-        let released = supervised_released(&run.executor);
+        let released = supervised_released(&mut run.executor);
         let leaked: Vec<&String> = released.difference(&baseline).collect();
         assert!(
             leaked.is_empty(),
@@ -368,7 +368,7 @@ fn recovery_upholds_subset_invariant_across_random_epoch_kills() {
         );
 
         // 2. Zero policy-state divergence at the end of the input.
-        let fin = run.executor.checkpoint(0, 0);
+        let fin = run.executor.checkpoint(0, 0).expect("sequential cut");
         assert_eq!(fin.analyzers, clean_final.analyzers, "kill at epoch {ke}: analyzer state");
         assert_eq!(fin.nodes, clean_final.nodes, "kill at epoch {ke}: operator state");
     }
@@ -397,7 +397,7 @@ fn repeated_and_exhausting_kills_stay_fail_closed() {
             }
             false
         };
-        let run = sp_engine::run_supervised(
+        let mut run = sp_engine::run_supervised(
             || supervised_builder().0,
             &input,
             &cfg,
@@ -407,9 +407,9 @@ fn repeated_and_exhausting_kills_stay_fail_closed() {
         .expect("store never fails");
         assert!(run.completed(), "kills at epochs {e1},{e2}");
         assert_eq!(run.report.restart_attempts, 2, "kills at epochs {e1},{e2}");
-        let released = supervised_released(&run.executor);
+        let released = supervised_released(&mut run.executor);
         assert!(released.is_subset(&baseline), "kills at epochs {e1},{e2}: leak");
-        let fin = run.executor.checkpoint(0, 0);
+        let fin = run.executor.checkpoint(0, 0).expect("sequential cut");
         assert_eq!(fin.analyzers, clean_final.analyzers, "kills at epochs {e1},{e2}");
         assert_eq!(fin.nodes, clean_final.nodes, "kills at epochs {e1},{e2}");
     }
@@ -417,7 +417,7 @@ fn repeated_and_exhausting_kills_stay_fail_closed() {
     // A crash the supervisor can never get past: terminal fail-closed.
     let mut store = sp_engine::MemStore::default();
     let cfg = sp_engine::SupervisorConfig { max_restarts: 3, ..cfg };
-    let run = sp_engine::run_supervised(
+    let mut run = sp_engine::run_supervised(
         || supervised_builder().0,
         &input,
         &cfg,
@@ -427,7 +427,7 @@ fn repeated_and_exhausting_kills_stay_fail_closed() {
     .expect("store never fails");
     assert!(!run.completed(), "persistent killer must exhaust the budget");
     assert!(run.report.recovery_dropped > 0, "rest of the input refused");
-    let released = supervised_released(&run.executor);
+    let released = supervised_released(&mut run.executor);
     assert!(released.is_subset(&baseline), "terminal fail-closed exit leaked");
 }
 
@@ -457,7 +457,7 @@ fn kill_during_checkpoint_append_falls_back_to_last_committed() {
     let cut = input.len() * 2 / 3;
     let mut store = sp_engine::FileStore::new(&path);
     let (b, _) = supervised_builder();
-    let mut exec = b.build();
+    let mut exec = sp_engine::Engine::Sequential(b.build());
     let mut epoch = 0u64;
     let mut len_before_last_save = 0u64;
     for (i, (sid, e)) in input[..cut].iter().enumerate() {
@@ -465,10 +465,10 @@ fn kill_during_checkpoint_append_falls_back_to_last_committed() {
         if (i + 1) % 64 == 0 {
             epoch += 1;
             len_before_last_save = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            store.save(&exec.checkpoint(epoch, (i + 1) as u64)).expect("save");
+            store.save(&exec.checkpoint(epoch, (i + 1) as u64).expect("cut")).expect("save");
         }
     }
-    let released_life1 = supervised_released(&exec);
+    let released_life1 = supervised_released(&mut exec);
     assert!(epoch >= 3, "need several committed checkpoints, got {epoch}");
 
     // The crash: the last appended frame is cut in half, exactly what a
@@ -490,17 +490,17 @@ fn kill_during_checkpoint_append_falls_back_to_last_committed() {
     // union of the two lives' released sets must equal the baseline:
     // the torn checkpoint lost no release and leaked none.
     let (b2, _) = supervised_builder();
-    let mut exec2 = b2.build();
+    let mut exec2 = sp_engine::Engine::Sequential(b2.build());
     exec2.restore(&recovered).expect("recovered checkpoint must restore");
     for (sid, e) in &input[recovered.input_pos as usize..] {
         exec2.push(*sid, e.clone()).expect("replay must not error");
     }
     let mut released = released_life1;
-    released.extend(supervised_released(&exec2));
+    released.extend(supervised_released(&mut exec2));
     assert_eq!(released, baseline, "crash recovery must reproduce the baseline released set");
 
     // Zero policy-state divergence after the replay.
-    let fin = exec2.checkpoint(0, 0);
+    let fin = exec2.checkpoint(0, 0).expect("sequential cut");
     assert_eq!(fin.analyzers, clean_final.analyzers, "analyzer state diverged");
     assert_eq!(fin.nodes, clean_final.nodes, "operator state diverged");
 
@@ -658,7 +658,7 @@ fn mid_burst_kill_recovers_with_identical_shed_decisions() {
     let cfg = sp_engine::SupervisorConfig { epoch_interval: 32, ..Default::default() };
 
     let mut store = sp_engine::MemStore::default();
-    let clean = sp_engine::run_supervised(
+    let mut clean = sp_engine::run_supervised(
         || bursty_builder(&schema, Some(burst_shed_cfg())).0,
         &input,
         &cfg,
@@ -684,7 +684,7 @@ fn mid_burst_kill_recovers_with_identical_shed_decisions() {
             }
             false
         };
-        let run = sp_engine::run_supervised(
+        let mut run = sp_engine::run_supervised(
             || bursty_builder(&schema, Some(burst_shed_cfg())).0,
             &input,
             &cfg,
